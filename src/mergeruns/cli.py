@@ -1,10 +1,10 @@
 """Command line front end.
 
-One subcommand per task: exact run counting (two independent methods, both
-printed), prefix probabilities, run and shape sampling, level profiles,
-explicit computation trees, the counting sequences, and an embedded
-selftest.  Output is deterministic byte for byte given the same arguments
-and seeds; all diagnostics go to stderr.
+One subcommand per task: exact run counting (two formulas through one
+exact kernel, both printed), prefix probabilities, run and shape sampling,
+level profiles, explicit computation trees, the counting sequences, and an
+embedded selftest.  Output is deterministic byte for byte given the same
+arguments and seeds; all diagnostics go to stderr.
 
 Exit codes: 0 ok, 1 usage or parse problem, 2 size budget exceeded,
 3 selftest failure.
@@ -276,7 +276,7 @@ def _seq_values(name: str, N: int):
     if name == "r_seq":
         return idx, counts.r_sequence(N)[first:]
     if name == "nonplane":
-        return idx, [counts.nonplane_count(n) for n in idx]
+        return idx, counts._nonplane_table(N)[first:]
     if name == "geomean":
         return idx, [counts.geometric_mean_width(n) for n in idx]
     raise AssertionError(name)
@@ -493,13 +493,20 @@ _COMMANDS = {
 
 
 def run_cli(argv) -> int:
-    """Run one command; returns the exit code instead of calling sys.exit."""
+    """Run one command; returns the exit code instead of calling sys.exit.
+
+    Integers of any length are printed: Python's limit on int-to-decimal
+    conversion is lifted while the command runs and restored afterwards.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         # argparse handles --version/--help by exiting 0; usage errors are 1
         return int(e.code or 0)
+    digits = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return _COMMANDS[args.command](args)
     except trees.BudgetError as exc:
@@ -512,6 +519,9 @@ def run_cli(argv) -> int:
         msg = exc.args[0] if exc.args else exc
         print(f"mergeruns: error: {msg}", file=sys.stderr)
         return 1
+    finally:
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 def main() -> None:

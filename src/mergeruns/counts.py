@@ -5,8 +5,8 @@ returns an Approx carrying a certified or heuristic error bound.  The
 factorially large values here (run counts easily exceed 10^36 by n = 40)
 stay exact, which is the point of the package.
 
-gmpy2 is used for the big multiply/divide hot spots when available and
-silently skipped otherwise; results are identical either way.
+gmpy2 is used for the big multiplications when available and silently
+skipped otherwise; results are identical either way.
 """
 
 from __future__ import annotations
@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from itertools import compress
+from typing import Iterable, Sequence
 
 import mpmath as mp
 import numpy as np
@@ -29,35 +30,35 @@ from .trees import SyntaxTree, WeightedTree
 
 @dataclass(frozen=True)
 class Approx:
-    """A floating estimate with an absolute error bound.
+    """An estimate with an absolute error bound, both mpmath numbers.
 
     certified=True means the bound is proven (interval reasoning), otherwise
-    it is the truncation-order heuristic of an asymptotic series.
+    it is the truncation-order heuristic of an asymptotic series.  mpmath
+    carries any magnitude, so estimates past the float range stay finite.
     """
 
-    value: float
-    abs_error: float
+    value: mp.mpf
+    abs_error: mp.mpf
     certified: bool = False
 
     def __contains__(self, x) -> bool:
-        return abs(float(x) - self.value) <= self.abs_error
+        return abs(mp.mpmathify(x) - self.value) <= self.abs_error
 
     def __str__(self) -> str:
         tag = "+-" if self.certified else "~"
-        return f"{self.value:.12g} ({tag}{self.abs_error:.3g})"
+        return f"{mp.nstr(self.value, 12)} ({tag}{mp.nstr(self.abs_error, 3)})"
 
 
-def _product(factors: Iterable[int]) -> int:
-    """Balanced product; keeps operand sizes comparable for big integers."""
-    items = [mpz(f) for f in factors]
-    if not items:
-        return 1
+def _product(factors: Sequence[int]) -> int:
+    """Balanced product of small factors.
+
+    Runs of 64 are multiplied in turn, then the partial products pairwise,
+    which keeps the big operands of comparable size.
+    """
+    items = [mpz(math.prod(factors[i:i + 64])) for i in range(0, len(factors), 64)]
     while len(items) > 1:
-        nxt = [items[i] * items[i + 1] for i in range(0, len(items) - 1, 2)]
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
-    return int(items[0])
+        items = [math.prod(items[i:i + 2]) for i in range(0, len(items), 2)]
+    return int(items[0]) if items else 1
 
 
 def catalan(n: int) -> int:
@@ -74,22 +75,91 @@ def increasing_count(n: int) -> int:
     return math.factorial(2 * n - 2) // (2 ** (n - 1) * math.factorial(n - 1))
 
 
+def _ratio(num_factors: Iterable[int], den_factors: Iterable[int],
+           limit: int) -> tuple[int, int]:
+    """prod(num_factors) / prod(den_factors) in lowest terms, as (num, den).
+
+    Every factor is an integer in 1..limit.  Legendre's prime-exponent
+    ledger (Borwein 1985): tally the net multiplicity of every factor
+    value, read each prime's net exponent off the tally as the sum over k
+    of the multiplicities at the multiples of p^k, and build each side as
+    a product of prime powers.  A prime lands on one side only, so the pair
+    is coprime without a gcd, and no big integer is ever divided.
+    """
+    net = [0] * (limit + 1)
+    for f in num_factors:
+        net[f] += 1
+    for f in den_factors:
+        net[f] -= 1
+    root, half = math.isqrt(limit), limit // 2
+    sieve = bytearray([1]) * (limit + 1)
+    sieve[:2] = b"\0\0"
+    higher = []  # the k >= 2 terms of the primes up to sqrt(limit), in order
+    for p in range(2, root + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
+            e, q = 0, p * p
+            while q <= limit:
+                e += sum(net[q::q])
+                q *= p
+            higher.append(e)
+    # a prime above limit/2 is its own only multiple up to the limit
+    primes = list(compress(range(half + 1), sieve))
+    big = list(compress(range(half + 1, limit + 1), sieve[half + 1:]))
+    exponents = [sum(net[p::p]) for p in primes] + [net[p] for p in big]
+    for i, e in enumerate(higher):
+        exponents[i] += e
+    primes += big
+    num = _prime_power_product(primes, exponents)
+    if min(exponents, default=0) >= 0:
+        return num, 1
+    return num, _prime_power_product(primes, [-e for e in exponents])
+
+
+def _prime_power_product(primes: list[int], exponents: list[int]) -> int:
+    """prod p**e over the primes whose exponent e is positive.
+
+    primes ascend from 2.  Square-and-multiply over the exponent bits, most
+    significant first: each step squares the running value and multiplies
+    in the balanced product of the primes whose exponent has that bit set.
+    The power of two is one shift.
+    """
+    if not primes:
+        return 1
+    shift, odd = max(exponents[0], 0), exponents[1:]
+    top = max(max(odd, default=0), 0)
+    layers: list[list[int]] = [[] for _ in range(top.bit_length())]
+    for p, e in zip(primes[1:], odd):
+        i = 0
+        while e > 0:
+            if e & 1:
+                layers[i].append(p)
+            e >>= 1
+            i += 1
+    out = mpz(1)
+    for layer in reversed(layers):
+        out = out * out * _product(layer)
+    return int(out) << shift
+
+
 def hook_count(t: SyntaxTree | WeightedTree) -> int:
     """Number of complete runs of t: n! divided by the product of subtree sizes.
 
-    The division is exact; the subtree of every action must finish after its
-    root starts, and the hook formula counts the valid interleavings.
+    The quotient is exact: the subtree of every action must finish after
+    its root starts, and the hook formula counts the valid interleavings.
+    The factors 2..n over the subtree sizes go through the prime-exponent
+    kernel _ratio, so no big integer is divided.  count_runs_via_probability
+    folds another factor list through the same kernel, so the two routes
+    are not independent; the tests hold both to a residue oracle.
     """
     if isinstance(t, WeightedTree):
         sizes = t.weights
     else:
         sizes = t.subtree_sizes()
     n = len(sizes)
-    num = _product(range(2, n + 1))
-    den = _product(s for s in sizes if s > 1)
-    q, r = divmod(num, den)
-    assert r == 0
-    return q
+    num, den = _ratio(range(2, n + 1), sizes, n)
+    assert den == 1
+    return num
 
 
 def mean_width(n: int) -> Fraction:
@@ -107,7 +177,7 @@ def mean_width_asymptotic(n: int) -> Approx:
     val = 2 * mp.sqrt(2 * mp.pi * x) * (x / (2 * mp.e)) ** x
     # Stirling underestimates by the factor exp(theta/12n), theta in (0, 1),
     # and exp(1/12n) - 1 < 1/(11n) for every n >= 1, so this bound is proven
-    return Approx(float(val), float(val / (11 * n)), certified=True)
+    return Approx(val, val / (11 * n), certified=True)
 
 
 def mean_level_width(n: int, i: int) -> Fraction:
@@ -191,8 +261,7 @@ def asymptotic_size(n: int) -> Approx:
     series = 2 + mp.mpf(2) / (3 * x) + mp.mpf(49) / (36 * x ** 2) + mp.mpf(27449) / (6480 * x ** 3)
     val = mp.e * mp.sqrt(2 * mp.pi * x) * (x / (2 * mp.e)) ** x * series
     # heuristic: next omitted term of the bracket, empirically ~20/n^4
-    err = float(val / series * 20 / x ** 4)
-    return Approx(float(val), err, certified=False)
+    return Approx(val, val / series * 20 / x ** 4, certified=False)
 
 
 def geometric_mean_width(n: int, precision: int = 80) -> mp.mpf:
@@ -251,7 +320,7 @@ def log_constant_L(target_abs_error: float = 1e-6) -> Approx:
             mid = head + (tail_lo + tail_hi) / 2
             half = (tail_hi - tail_lo) / 2 * mp.mpf("1.000001")  # quadrature slack
             if half <= target_abs_error:
-                return Approx(float(mid), float(half), certified=True)
+                return Approx(mid, half, certified=True)
     raise ArithmeticError(
         f"enclosure width {float(half):.3g} misses target {target_abs_error:.3g}")
 
@@ -289,13 +358,20 @@ def nonplane_count(n: int) -> int:
 
 
 def _nonplane_table(n: int) -> list[int]:
-    # Euler transform of itself: the classic rooted unordered tree recurrence
-    t = [0, 1]
-    c = [0]
+    """[0, t_1, ..., t_n]: rooted unordered trees by node count.
+
+    The Euler transform of itself, (m) t_{m+1} = sum_k c_k t_{m+1-k} with
+    c_m = sum over d | m of d t_d.  Each t_d is pushed onto the divisor
+    sums of its multiples once it is known, a sieve instead of a divisor
+    scan for every m.
+    """
+    t = [0, 1] + [0] * max(n - 1, 0)
+    c = [0] * n
     for m in range(1, n):
-        c.append(sum(d * t[d] for d in range(1, m + 1) if m % d == 0))
-        s = sum(c[k] * t[m + 1 - k] for k in range(1, m + 1))
-        t.append(s // m)
+        dt = m * t[m]
+        for j in range(m, n, m):
+            c[j] += dt
+        t[m + 1] = sum(c[k] * t[m + 1 - k] for k in range(1, m + 1)) // m
     return t
 
 

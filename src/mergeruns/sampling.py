@@ -14,11 +14,20 @@ import random
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
+from .counts import _ratio
 from .trees import (BudgetError, SyntaxTree, WeightedTree, annotate_weights,
                     default_labels, validate_run_prefix)
 
 RNG_ALGORITHM = "mt19937"
 NAIVE_SAMPLE_LIMIT = 10 ** 7
+
+# a Fraction from a pair already in lowest terms, skipping the gcd the
+# constructor would take (quadratic in the operand length)
+try:  # Python >= 3.12
+    _coprime_fraction = Fraction._from_coprime_ints
+except AttributeError:  # Python 3.10 and 3.11
+    def _coprime_fraction(num: int, den: int) -> Fraction:
+        return Fraction(num, den, _normalize=False)
 
 
 class Rng:
@@ -197,45 +206,44 @@ def prefix_probability(t: SyntaxTree | WeightedTree, sigma: Sequence[int]) -> Fr
     Exact: the k-th consumed action is chosen among the enabled ones with
     probability (its subtree size) / (actions still pending), and the
     pending count at step k is always n - k + 1 regardless of history.
+    The step sizes over the pending counts n - p + 1 .. n - 1 go through
+    the prime-exponent kernel counts._ratio, which returns the quotient in
+    lowest terms, so no gcd is taken.
     """
     rho, _ = _prefix_probability_steps(t, sigma)
     return rho
 
 
 def _prefix_probability_steps(t, sigma) -> tuple[Fraction, int]:
-    # instrumented twin: also reports the number of multiply steps taken
+    # instrumented twin: also reports the step count, one per step ratio
     if isinstance(t, WeightedTree):
         tree, sizes = t.tree, t.weights
     else:
         tree, sizes = t, t.subtree_sizes()
     sigma = validate_run_prefix(tree, sigma)
-    n = tree.size
-    rho = Fraction(1)
-    steps = 0
-    for k in range(2, len(sigma) + 1):
-        rho *= Fraction(sizes[sigma[k - 1] - 1], n - k + 1)
-        steps += 1
-    return rho, steps
+    n, p = tree.size, len(sigma)
+    num, den = _ratio([sizes[v - 1] for v in sigma[1:]], range(n - p + 1, n), n)
+    return _coprime_fraction(num, den), max(p - 1, 0)
 
 
 def count_runs_via_probability(t: SyntaxTree | WeightedTree) -> int:
     """Complete-run count recovered as 1 / probability of one fixed run.
 
     Uses the prefix-traversal run (ids ascending), which every tree has:
-    1/rho is the product of the per-step ratios (n - k + 1) / |T(sigma_k)|
-    inverted.  The product is regrouped associatively (balanced pairing) so
-    huge trees stay fast, but the multiplication count is still linear; the
-    Fraction route through prefix_probability gives the same value and the
-    tests hold the two, and hook_count, against each other.
+    1/rho is the product of the inverted per-step ratios
+    (n - k + 1) / |T(sigma_k)|.  This folds a different factor list from
+    hook_count's (n - 1 down to 1 over the sizes of the non-root actions)
+    through the same kernel, counts._ratio, so the two routes share their
+    arithmetic and are not independent checks of each other; the tests
+    hold both to a residue oracle that shares none of it.
     """
     count, _ = _count_runs_steps(t)
     return count
 
 
 def _count_runs_steps(t) -> tuple[int, int]:
-    # instrumented twin: also reports the multiplication/division step count
-    from .counts import _product
-
+    # instrumented twin: also reports the step count, one per factor folded
+    # after the first on each side, plus one for the quotient
     if isinstance(t, WeightedTree):
         tree, sizes = t.tree, t.weights
     else:
@@ -243,11 +251,11 @@ def _count_runs_steps(t) -> tuple[int, int]:
     n = tree.size
     # steps k = 2..n of the probability product, inverted; the k = 1 ratio
     # is n/n and contributes nothing either way
-    num_factors = [n - k + 1 for k in range(2, n + 1)]
+    num_factors = range(n - 1, 0, -1)
     den_factors = [sizes[k - 1] for k in range(2, n + 1) if sizes[k - 1] > 1]
     steps = max(len(num_factors) - 1, 0) + max(len(den_factors) - 1, 0) + 1
-    q, r = divmod(_product(num_factors), _product(den_factors))
-    assert r == 0
+    q, den = _ratio(num_factors, den_factors, n)
+    assert den == 1
     return q, steps
 
 

@@ -173,6 +173,53 @@ def profile_via_cuts(shape) -> tuple:
     return tuple(acc)
 
 
+# -- large trees as parent lists ---------------------------------------------
+#
+# parents[v - 1] is the parent id of node v in preorder, 0 for the root, so
+# every parent id is smaller than its child's.
+
+# three 61-bit primes, each above every node count the tests use, so every
+# factor of a run count or of a prefix probability is a unit modulo each
+RESIDUE_PRIMES = (2 ** 61 - 1, 2 ** 61 - 31, 2 ** 61 - 45)
+
+
+def sizes_from_parents(parents) -> list:
+    """Subtree sizes |T(v)|, indexed by v - 1."""
+    sizes = [1] * len(parents)
+    for v in range(len(parents), 1, -1):
+        sizes[parents[v - 1] - 1] += sizes[v - 1]
+    return sizes
+
+
+def hook_residues(parents) -> list:
+    """The run count n! (prod |T(v)|)^-1 modulo each residue prime.
+
+    Word-sized modular arithmetic only: the big integer is never formed,
+    so this shares no arithmetic with the library's exact routes.
+    """
+    sizes = sizes_from_parents(parents)
+    out = []
+    for p in RESIDUE_PRIMES:
+        fact = den = 1
+        for k in range(2, len(parents) + 1):
+            fact = fact * k % p
+        for s in sizes:
+            den = den * s % p
+        out.append(fact * pow(den, -1, p) % p)
+    return out
+
+
+def prefix_probability_sequential(parents, prefix) -> Fraction:
+    """The step ratios |T(sigma_k)| / (n - k + 1), k = 2..p, multiplied one
+    at a time as Fractions, each product reduced on the spot."""
+    sizes = sizes_from_parents(parents)
+    n = len(parents)
+    rho = Fraction(1)
+    for k in range(2, len(prefix) + 1):
+        rho *= Fraction(sizes[prefix[k - 1] - 1], n - k + 1)
+    return rho
+
+
 # -- misc ---------------------------------------------------------------------
 
 def contract_shape(shape, v: int) -> tuple:

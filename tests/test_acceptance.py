@@ -134,13 +134,13 @@ def test_criterion_04_recurrences():
 def test_criterion_05_asymptotics():
     c = Criterion(5, "asymptotic-accuracy", 10.0)
     dev30 = abs(float(counts.mean_size(30)) / counts.asymptotic_size(30).value - 1)
-    c.check(dev30 < 1e-3, f"size deviation at 30 is {dev30:.2e}")
+    c.check(dev30 < 1e-3, f"size deviation at 30 is {float(dev30):.2e}")
     dev60 = abs(float(counts.mean_size(60)) / counts.asymptotic_size(60).value - 1)
     c.check(dev60 < dev30, "size deviation does not shrink from 30 to 60")
     w = counts.mean_width(40)
     est = counts.mean_width_asymptotic(40)
     rel = abs(float(mp.mpf(w.numerator) / w.denominator) / est.value - 1)
-    c.check(rel < 0.01, f"width deviation at 40 is {rel:.2e}")
+    c.check(rel < 0.01, f"width deviation at 40 is {float(rel):.2e}")
     c.finish()
 
 

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from mergeruns import cli
+from mergeruns import cli, counts, sampling
 
 TERM = "a.b.(c || d.(e || f))"
 
@@ -38,6 +38,25 @@ def test_count_large_value_gets_scientific_suffix(capsys):
     code, out, _ = run(capsys, "count", star)
     assert code == 0
     assert out.splitlines()[0] == f"{1307674368000} (~1.307674e+12)"
+
+
+def test_count_prints_integers_past_the_digit_limit(capsys, tmp_path):
+    t = sampling.uniform_random_tree(3000, sampling.Rng(7))
+    path = tmp_path / "big.term"
+    path.write_text(t.to_term(), encoding="utf-8")
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "count", "--input", str(path))
+    assert code == 0 and not err
+    assert sys.get_int_max_str_digits() == limit
+    first, second = out.splitlines()
+    hook = counts.hook_count(t)
+    assert hook > 10 ** 4300
+    sys.set_int_max_str_digits(0)  # reading the digits back needs the same lift
+    try:
+        assert int(first.split()[0]) == hook
+        assert int(second.split(": ")[1].split()[0]) == hook
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # -- prob ---------------------------------------------------------------------
@@ -183,6 +202,22 @@ def test_seq_csv_with_ratio(capsys):
     lines = out.splitlines()
     assert lines[0] == "n,value_numerator,value_denominator,asymptotic_ratio"
     assert lines[6].startswith("6,45,2,1.0")
+
+
+@pytest.mark.parametrize("name", ["mean_width", "mean_size"])
+def test_seq_ratio_past_the_float_range(capsys, name):
+    # the asymptotic estimates pass 1e308 at n = 197
+    code, out, _ = run(capsys, "seq", name, "--to", "200", "--format", "json")
+    assert code == 0
+    rows = {r["n"]: r.get("asymptotic_ratio") for r in json.loads(out)["values"]}
+    for n in range(197, 201):
+        assert abs(rows[n] - 1) < 0.05, (n, rows[n])
+
+
+def test_seq_nonplane_values(capsys):
+    _, out, _ = run(capsys, "seq", "nonplane", "--to", "12", "--format", "csv")
+    values = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
+    assert values == [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
 
 
 def test_seq_fraction_values(capsys):

@@ -1,13 +1,14 @@
 """Exact counting, mean quantities, and their verified recurrences."""
 
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
 import pytest
 
 import oracles
-from mergeruns import counts, trees
+from mergeruns import counts, sampling, trees
 
 L_REFERENCE = 0.5790439217  # ten known digits of the log-scale constant
 
@@ -54,6 +55,59 @@ def test_hook_count_accepts_weighted(ref_tree):
     assert counts.hook_count(trees.annotate_weights(ref_tree)) == 8
 
 
+# -- the prime-exponent kernel --------------------------------------------------
+
+def _ratio_reference(num, den):
+    q = Fraction(math.prod(num), math.prod(den))
+    return q.numerator, q.denominator
+
+
+def test_ratio_random_multisets():
+    rnd = random.Random(11)
+    for _ in range(500):
+        limit = rnd.choice([2, 3, 10, 64, 97, 1000])
+        num = [rnd.randint(1, limit) for _ in range(rnd.randint(0, 30))]
+        den = [rnd.randint(1, limit) for _ in range(rnd.randint(0, 30))]
+        assert counts._ratio(num, den, limit) == _ratio_reference(num, den), (num, den)
+
+
+def test_ratio_edge_multisets():
+    cases = [
+        ([], [], 1),
+        ([], [], 50),
+        ([1] * 7, [1] * 3, 1),
+        ([97], [], 97),            # a lone prime at the limit
+        ([], [97], 97),
+        ([81], [3], 81),           # p^k equal to the limit
+        ([2], [64], 64),           # the power of two goes through the shift
+        ([125, 2], [5, 4], 125),
+        ([6, 10, 15], [30, 30], 30),   # cancels to (1, 1)
+        ([2] * 40, [4] * 20, 4),
+    ]
+    for num, den, limit in cases:
+        assert counts._ratio(num, den, limit) == _ratio_reference(num, den), (num, den)
+    assert counts._ratio([6, 10, 15], [30, 30], 30) == (1, 1)
+    assert counts._ratio([97], [], 200) == (97, 1)  # a limit above the factors
+
+
+def test_hook_count_matches_residue_oracle():
+    t = sampling.uniform_random_tree(100_000, sampling.Rng(20241018))
+    parents = [t.parent(v) for v in range(1, t.size + 1)]
+    want = oracles.hook_residues(parents)
+    assert [counts.hook_count(t) % p for p in oracles.RESIDUE_PRIMES] == want
+    assert [sampling.count_runs_via_probability(t) % p
+            for p in oracles.RESIDUE_PRIMES] == want
+
+
+def test_long_prefix_probability_matches_sequential_product():
+    t = sampling.uniform_random_tree(50_000, sampling.Rng(20241019))
+    prefix = sampling.sample_run(t, sampling.Rng(20241020))[:5000]
+    parents = [t.parent(v) for v in range(1, t.size + 1)]
+    rho = sampling.prefix_probability(t, prefix)
+    assert rho == oracles.prefix_probability_sequential(parents, prefix)
+    assert math.gcd(rho.numerator, rho.denominator) == 1
+
+
 # -- mean width ---------------------------------------------------------------
 
 def test_mean_width_closed_form():
@@ -76,6 +130,14 @@ def test_mean_width_asymptotic_certified():
         est = counts.mean_width_asymptotic(n)
         assert est.certified
         assert counts.mean_width(n) in est
+
+
+def test_asymptotics_past_the_float_range():
+    for n in (197, 200, 400):
+        est = counts.mean_width_asymptotic(n)
+        assert mp.isfinite(est.value) and est.value > 1e308
+        assert counts.mean_width(n) in est
+        assert mp.isfinite(counts.asymptotic_size(n).value)
 
 
 def test_mean_width_asymptotic_accuracy():
