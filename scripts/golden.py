@@ -1,0 +1,123 @@
+"""Golden corpus of command line outputs.
+
+For each command below the corpus records the exit code, the SHA-256 of
+stdout and the first line of stderr, so a change that must leave the
+program's output byte-identical can be checked against it.
+
+    PYTHONPATH=src python3 scripts/golden.py            # compare with the corpus
+    PYTHONPATH=src python3 scripts/golden.py --update   # rewrite the corpus
+
+tests/test_golden.py runs the same comparison inside the test suite.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+from pathlib import Path
+
+from mergeruns.cli import run_cli
+
+CORPUS = Path(__file__).resolve().parent.parent / "tests" / "golden.json"
+
+REF = "a.b.(c || d.(e || f))"
+STAR = "a.(" + " || ".join(f"x{i}" for i in range(15)) + ")"
+WIDE = "r.(a.b || c || d.e.f || g.(h || i) || j)"
+FOREST = "a.b || c.(d || e) || f"
+SPACED = " a\t.\n( b || c.d ) "
+
+COMMANDS = [
+    ["--version"],
+    # count
+    ["count", REF],
+    ["count", REF, "--format", "json"],
+    ["count", STAR],
+    ["count", WIDE, "--format", "json"],
+    ["count", FOREST, "--forest"],
+    ["count", SPACED],
+    ["count", "a.b.c.d"],
+    # parse and usage errors
+    ["count", "a.(b || "],
+    ["count", "a | b"],
+    ["count", FOREST],
+    ["count", "1a"],
+    ["count", "a.(b || c).d"],
+    ["count", "a.é"],
+    ["count", "   "],
+    ["count"],
+    ["count", REF, "--input", "term.txt"],
+    # prob
+    ["prob", REF, "--prefix", "a,b,d"],
+    ["prob", REF, "--prefix", "a,b,d", "--format", "json"],
+    ["prob", REF, "--prefix", "#1,#2,#4,#6"],
+    ["prob", "a.(b || b)", "--prefix", "a,b"],
+    ["prob", REF, "--prefix", "a,c#2"],
+    ["prob", REF, "--prefix", "a,d"],
+    # sample
+    ["sample", REF, "--samples", "3", "--seed", "7"],
+    ["sample", REF, "--samples", "64", "--seed", "3", "--freq"],
+    ["sample", REF, "--samples", "4", "--seed", "5", "--format", "json", "--freq"],
+    ["sample", FOREST, "--forest", "--samples", "5"],
+    ["sample", REF, "--samples", "0"],
+    # profile
+    ["profile", REF],
+    ["profile", REF, "--format", "json"],
+    ["profile", STAR, "--format", "text"],
+    ["profile", WIDE, "--oracle"],
+    ["profile", FOREST, "--forest", "--format", "json"],
+    # semantic
+    ["semantic", REF],
+    ["semantic", REF, "--format", "json"],
+    ["semantic", "r.(a.b || c || d.(e || f))", "--format", "text"],
+    ["semantic", WIDE, "--budget", "100"],
+    # seq, every name in every format
+    *[["seq", name, "--to", "12", "--format", fmt]
+      for name in ["catalan", "geomean", "increasing", "m_cuts", "mean_size",
+                   "mean_width", "nonplane", "r_seq"]
+      for fmt in ["text", "json", "csv"]],
+    ["seq", "mean_size", "--to", "6", "--format", "csv"],
+    ["seq", "m_cuts", "--to", "2"],
+    # gen
+    ["gen", "--size", "6", "--seed", "2", "--count", "2"],
+    ["gen", "--size", "9", "--seed", "4", "--format", "json"],
+    ["gen", "--size", "7", "--format", "dot"],
+    ["gen", "--size", "0"],
+    ["selftest"],
+]
+
+
+def record(argv: list[str]) -> dict:
+    """One command's exit code, stdout digest and first stderr line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    lines = err.getvalue().splitlines()
+    return {"argv": argv, "exit": code,
+            "stdout_sha256": hashlib.sha256(out.getvalue().encode()).hexdigest(),
+            "stderr": lines[0] if lines else ""}
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--update", action="store_true", help="rewrite the corpus")
+    args = ap.parse_args()
+    if args.update:
+        entries = [record(argv) for argv in COMMANDS]
+        lines = ",\n".join(json.dumps(e, ensure_ascii=False) for e in entries)
+        CORPUS.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+        print(f"wrote {len(entries)} entries to {CORPUS}")
+        return 0
+    entries = json.loads(CORPUS.read_text(encoding="utf-8"))
+    changed = [e["argv"] for e in entries if record(e["argv"]) != e]
+    for argv in changed:
+        print("changed:", json.dumps(argv, ensure_ascii=False))
+    print(f"{len(entries) - len(changed)} of {len(entries)} entries unchanged")
+    return 1 if changed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -109,9 +109,12 @@ def _build_parser() -> _Parser:
 
 
 def _fmt_count(x: int) -> str:
+    # int-to-decimal is quadratic in CPython, so it is done once here and
+    # the suffix is read off the digits
+    s = str(x)
     if x < SCI_SUFFIX_THRESHOLD:
-        return str(x)
-    return f"{x} (~{Decimal(x):.6e})"
+        return s
+    return f"{s} (~{Decimal(s):.6e})"
 
 
 def _fmt_fraction(q: Fraction) -> str:
@@ -165,8 +168,9 @@ def _cmd_count(args) -> int:
                           "runs_via_probability": check, "agree": True},
                          sort_keys=True))
     else:
-        print(_fmt_count(hook))
-        print(f"cross-check (run probability method): {_fmt_count(check)}, agree")
+        shown = _fmt_count(hook)  # check == hook
+        print(shown)
+        print(f"cross-check (run probability method): {shown}, agree")
     return 0
 
 

@@ -35,11 +35,15 @@ class Rng:
 
     randrange rejects by getrandbits, so draws are unbiased at any size;
     stream(i) derives an independent child generator deterministically.
+    Seeds are non-negative: random.Random drops the sign of an int seed, so
+    a negative one would alias its absolute value.
     """
 
     __slots__ = ("seed", "_r")
 
     def __init__(self, seed: int):
+        if seed < 0:
+            raise ValueError(f"seed must be non-negative, got {seed}")
         self.seed = seed
         self._r = random.Random(seed)
 
@@ -64,8 +68,17 @@ class Rng:
         return sorted(pool[:k])
 
     def stream(self, index: int) -> "Rng":
-        """Deterministic derived generator for parallel or indexed use."""
-        return Rng((self.seed << 32) ^ index)
+        """Deterministic derived generator for parallel or indexed use.
+
+        The child is seeded by the text "<seed>:<index>", so distinct
+        (seed, index) pairs, and streams of streams, get distinct seeds.
+        random.Random keys a text by its bytes and their SHA-512 digest, a
+        key no small int seed equals.
+        """
+        child = object.__new__(Rng)
+        child.seed = f"{self.seed}:{index}"
+        child._r = random.Random(child.seed)
+        return child
 
     def __repr__(self) -> str:
         return f"Rng(seed={self.seed}, algorithm={RNG_ALGORITHM})"

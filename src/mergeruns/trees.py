@@ -55,24 +55,24 @@ class SyntaxTree:
             raise ValueError("labels and parents must have equal length")
         if parents[0] != 0:
             raise ValueError("the root (id 1) must have parent 0")
-        kids = [[] for _ in range(n + 1)]
-        for v in range(2, n + 1):
-            p = parents[v - 1]
-            if not 1 <= p < v:
-                raise ValueError(f"parent of node {v} must be an earlier node id")
-            kids[p].append(v)
-        # ids must be a genuine preorder numbering
-        order = []
-        stack = [1]
-        while stack:
-            v = stack.pop()
-            order.append(v)
-            stack.extend(reversed(kids[v]))
-        if order != list(range(1, n + 1)):
-            raise ValueError("node ids are not in prefix-traversal order")
+        # ids are a preorder numbering exactly when each node's parent lies
+        # on the path from the root to the node just before it; a parent off
+        # that path empties it (IndexError)
+        path = [1]
+        try:
+            for v in range(2, n + 1):
+                p = parents[v - 1]
+                while path[-1] != p:
+                    path.pop()
+                path.append(v)
+        except IndexError:
+            for v in range(2, n + 1):
+                if not 1 <= parents[v - 1] < v:
+                    raise ValueError(f"parent of node {v} must be an earlier node id") from None
+            raise ValueError("node ids are not in prefix-traversal order") from None
         self._labels = labels
         self._parents = parents
-        self._children = tuple(tuple(k) for k in kids[1:])
+        self._children = None
         self._sizes = None
         self._by_label = None
 
@@ -151,10 +151,25 @@ class SyntaxTree:
         return self._parents[v - 1]
 
     def children(self, v: int) -> tuple[int, ...]:
-        return self._children[v - 1]
+        try:
+            return self._children[v - 1]
+        except TypeError:
+            # the table is None until first use; an unraised try costs
+            # nothing, so samplers calling this per node pay no check
+            return self._child_table()[v - 1]
 
     def degree(self, v: int) -> int:
-        return len(self._children[v - 1])
+        return len(self.children(v))
+
+    def _child_table(self) -> tuple[tuple[int, ...], ...]:
+        """Child ids of every node, indexed by v - 1; built on first use,
+        since counting and prefix probabilities read parents only."""
+        if self._children is None:
+            kids: list[list[int]] = [[] for _ in range(self.size + 1)]
+            for v, p in enumerate(self._parents, start=1):
+                kids[p].append(v)
+            self._children = tuple(map(tuple, kids[1:]))
+        return self._children
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -195,7 +210,7 @@ class SyntaxTree:
         return ids[0]
 
     def degree_word(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self._children)
+        return tuple(map(len, self._child_table()))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SyntaxTree)
@@ -227,7 +242,8 @@ class SyntaxTree:
     def to_term(self) -> str:
         """Render as a term string parseable by parse_process."""
         out: list[str] = []
-        root_kids = self._children[0]
+        table = self._child_table()
+        root_kids = table[0]
         work: list = []
         if self._labels[0] == FOREST_ROOT_LABEL:
             for k in reversed(root_kids):
@@ -244,7 +260,7 @@ class SyntaxTree:
                 continue
             v = item
             out.append(self._labels[v - 1])
-            kids = self._children[v - 1]
+            kids = table[v - 1]
             if not kids:
                 continue
             if len(kids) == 1:
@@ -262,10 +278,11 @@ class SyntaxTree:
     def to_nested(self) -> dict:
         """Nested record form {"label": ..., "children": [...]}."""
         n = self.size
+        table = self._child_table()
         recs: list[dict | None] = [None] * (n + 1)
         for v in range(n, 0, -1):
             recs[v] = {"label": self._labels[v - 1],
-                       "children": [recs[k] for k in self._children[v - 1]]}
+                       "children": [recs[k] for k in table[v - 1]]}
         return recs[1]
 
     def to_dot(self, graph_name: str = "syntax_tree") -> str:
@@ -392,27 +409,9 @@ class SemanticTree:
 
 # -- parsing ----------------------------------------------------------------
 
-_TOKEN = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<dot>\.)|(?P<open>\()|(?P<close>\))|(?P<par>\|\|)")
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while True:
-        while pos < len(text) and text[pos].isspace():
-            pos += 1
-        if pos == len(text):
-            break
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            if text[pos] == "|":
-                raise ParseError("single '|' is not an operator, expected '||'", pos)
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        kind = m.lastgroup
-        tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+_TOKENS = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\|\||\S")
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_OPERATORS = frozenset((".", "(", ")", "||"))
 
 
 def parse_process(text: str, allow_forest: bool = False) -> SyntaxTree:
@@ -428,78 +427,104 @@ def parse_process(text: str, allow_forest: bool = False) -> SyntaxTree:
     Whitespace is insignificant.  A bare parallel composition at top level is
     a syntax error unless allow_forest is set, in which case the components
     are attached under a synthetic root labelled "#root" (that label is
-    reserved and cannot be written in input).
+    reserved and cannot be written in input).  Of several faults the first
+    character that starts no token is reported, then a top-level '||'
+    outside forest mode, then the first syntax error.
     """
-    tokens = _tokenize(text)
-    if tokens[0][0] == "end":
+    # names, '||' and every other non-space character, one token each
+    tokens = _TOKENS.findall(text)
+    if not tokens:
         raise ParseError("empty input", 0)
-
-    # detect a parallel bar at paren depth 0 so the synthetic root gets id 1
-    depth = 0
-    top_par_pos = None
-    for kind, _, pos in tokens:
-        if kind == "open":
-            depth += 1
-        elif kind == "close":
-            depth = max(0, depth - 1)
-        elif kind == "par" and depth == 0 and top_par_pos is None:
-            top_par_pos = pos
-    wrapped = False
-    labels: list[str] = []
-    parents: list[int] = []
-    if top_par_pos is not None:
-        if not allow_forest:
-            raise ParseError("parallel composition at top level needs forest mode", top_par_pos)
-        labels.append(FOREST_ROOT_LABEL)
-        parents.append(0)
-        wrapped = True
 
     NEED_TERM, NEED_TAIL, AFTER_NAME, AFTER_GROUP = range(4)
     state = NEED_TERM
-    pending = 1 if wrapped else 0   # parent id for the next created node
+    wrapped = False
+    labels: list[str] = []
+    parents: list[int] = []
+    pending = 0                     # parent id for the next created node
     current = 0                     # most recent plain action node
     frames: list[int] = []          # parent ids of open parallel groups
 
-    for kind, value, pos in tokens:
-        if state == NEED_TERM:
-            if kind != "name":
-                raise ParseError("expected an action name", pos)
-            labels.append(value)
+    for i, tok in enumerate(tokens):
+        if state >= AFTER_NAME:
+            if tok == ".":
+                if state == AFTER_GROUP:
+                    raise _parse_error(text, allow_forest, i, "'.' cannot follow a closed parallel group")
+                pending = current
+                state = NEED_TAIL
+            elif tok == "||":
+                if frames:
+                    pending = frames[-1]
+                elif wrapped:
+                    pending = 1
+                elif allow_forest:
+                    # the first top-level bar: put the synthetic root in
+                    # front, so that it gets id 1
+                    labels.insert(0, FOREST_ROOT_LABEL)
+                    parents = [0] + [p + 1 for p in parents]
+                    pending = 1
+                    wrapped = True
+                else:
+                    raise _parse_error(text, allow_forest, i, "parallel composition at top level needs forest mode")
+                state = NEED_TERM
+            elif tok == ")":
+                if not frames:
+                    raise _parse_error(text, allow_forest, i, "unmatched ')'")
+                frames.pop()
+                state = AFTER_GROUP
+            else:
+                raise _parse_error(text, allow_forest, i, f"unexpected {tok!r}")
+        elif tok[0] in _NAME_START:
+            labels.append(tok)
             parents.append(pending)
             current = len(labels)
             state = AFTER_NAME
-        elif state == NEED_TAIL:
-            if kind == "name":
-                labels.append(value)
-                parents.append(pending)
-                current = len(labels)
-                state = AFTER_NAME
-            elif kind == "open":
-                frames.append(pending)
-                state = NEED_TERM
-            else:
-                raise ParseError("expected an action name or '('", pos)
-        else:  # AFTER_NAME or AFTER_GROUP
-            if kind == "dot":
-                if state == AFTER_GROUP:
-                    raise ParseError("'.' cannot follow a closed parallel group", pos)
-                pending = current
-                state = NEED_TAIL
-            elif kind == "par":
-                pending = frames[-1] if frames else 1
-                state = NEED_TERM
-            elif kind == "close":
-                if not frames:
-                    raise ParseError("unmatched ')'", pos)
-                frames.pop()
-                state = AFTER_GROUP
-            elif kind == "end":
-                if frames:
-                    raise ParseError("unclosed '('", pos)
-                return SyntaxTree(labels, parents)
-            else:
-                raise ParseError(f"unexpected {value!r}", pos)
-    raise AssertionError("tokenizer guarantees an end token")
+        elif tok == "(" and state == NEED_TAIL:
+            frames.append(pending)
+            state = NEED_TERM
+        elif state == NEED_TERM:
+            raise _parse_error(text, allow_forest, i, "expected an action name")
+        else:
+            raise _parse_error(text, allow_forest, i, "expected an action name or '('")
+
+    end = len(tokens)
+    if state == NEED_TERM:
+        raise _parse_error(text, allow_forest, end, "expected an action name")
+    if state == NEED_TAIL:
+        raise _parse_error(text, allow_forest, end, "expected an action name or '('")
+    if frames:
+        raise _parse_error(text, allow_forest, end, "unclosed '('")
+    return SyntaxTree(labels, parents)
+
+
+def _parse_error(text: str, allow_forest: bool, index: int, message: str) -> ParseError:
+    """The error to report once token number ``index`` (len(tokens) for the
+    end of input) broke the grammar with ``message``.
+
+    Character positions are worked out only here.  A character that starts
+    no token and a top-level '||' outside forest mode outrank the syntax
+    error, wherever they occur.
+    """
+    depth = 0
+    top_par = None
+    position = len(text)
+    for k, m in enumerate(_TOKENS.finditer(text)):
+        tok = m.group()
+        if tok[0] not in _NAME_START and tok not in _OPERATORS:
+            if tok == "|":
+                return ParseError("single '|' is not an operator, expected '||'", m.start())
+            return ParseError(f"unexpected character {tok!r}", m.start())
+        if tok == "(":
+            depth += 1
+        elif tok == ")":
+            depth = max(0, depth - 1)
+        elif tok == "||" and depth == 0 and top_par is None:
+            top_par = m.start()
+        if k == index:
+            position = m.start()
+    if top_par is not None and not allow_forest:
+        return ParseError("parallel composition at top level needs forest mode", top_par)
+    return ParseError(message, position)
 
 
 # -- structural operations ---------------------------------------------------

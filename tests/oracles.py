@@ -1,10 +1,11 @@
 """Brute-force reference implementations used only by the tests.
 
 Everything here works on plain nested tuples (a shape is a tuple of child
-shapes) and never calls into the package, so agreement between these
+shapes), parent arrays or term text, and never calls into the package, so agreement between these
 routines and the library is a genuine cross-check, not a tautology.
 """
 
+import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -218,6 +219,160 @@ def prefix_probability_sequential(parents, prefix) -> Fraction:
     for k in range(2, len(prefix) + 1):
         rho *= Fraction(sizes[prefix[k - 1] - 1], n - k + 1)
     return rho
+
+
+# -- the term parser and the tree check, as first written ---------------------
+#
+# The library's parser and SyntaxTree constructor were rewritten for speed;
+# these are the original versions, kept as the reference they must agree
+# with.  The parser returns (labels, parents) instead of a SyntaxTree and
+# raises its own ParseError with the library's message format.
+
+FOREST_ROOT_LABEL = "#root"
+
+
+class ParseError(ValueError):
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} (at position {position})")
+        self.position = position
+
+
+_TOKEN = re.compile(r"(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<dot>\.)|(?P<open>\()|(?P<close>\))|(?P<par>\|\|)")
+
+
+def _tokenize(text: str):
+    tokens = []
+    pos = 0
+    while True:
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        if pos == len(text):
+            break
+        m = _TOKEN.match(text, pos)
+        if m is None:
+            if text[pos] == "|":
+                raise ParseError("single '|' is not an operator, expected '||'", pos)
+            raise ParseError(f"unexpected character {text[pos]!r}", pos)
+        kind = m.lastgroup
+        tokens.append((kind, m.group(), pos))
+        pos = m.end()
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
+def parse_process(text: str, allow_forest: bool = False) -> tuple:
+    """Parse a process term into its syntax tree.
+
+    Grammar:
+        process  := prefixed
+        prefixed := action [ "." tail ]
+        tail     := prefixed | "(" parallel ")"
+        parallel := prefixed { "||" prefixed }
+        action   := [A-Za-z_][A-Za-z0-9_]*
+
+    Whitespace is insignificant.  A bare parallel composition at top level is
+    a syntax error unless allow_forest is set, in which case the components
+    are attached under a synthetic root labelled "#root" (that label is
+    reserved and cannot be written in input).
+    """
+    tokens = _tokenize(text)
+    if tokens[0][0] == "end":
+        raise ParseError("empty input", 0)
+
+    # detect a parallel bar at paren depth 0 so the synthetic root gets id 1
+    depth = 0
+    top_par_pos = None
+    for kind, _, pos in tokens:
+        if kind == "open":
+            depth += 1
+        elif kind == "close":
+            depth = max(0, depth - 1)
+        elif kind == "par" and depth == 0 and top_par_pos is None:
+            top_par_pos = pos
+    wrapped = False
+    labels: list[str] = []
+    parents: list[int] = []
+    if top_par_pos is not None:
+        if not allow_forest:
+            raise ParseError("parallel composition at top level needs forest mode", top_par_pos)
+        labels.append(FOREST_ROOT_LABEL)
+        parents.append(0)
+        wrapped = True
+
+    NEED_TERM, NEED_TAIL, AFTER_NAME, AFTER_GROUP = range(4)
+    state = NEED_TERM
+    pending = 1 if wrapped else 0   # parent id for the next created node
+    current = 0                     # most recent plain action node
+    frames: list[int] = []          # parent ids of open parallel groups
+
+    for kind, value, pos in tokens:
+        if state == NEED_TERM:
+            if kind != "name":
+                raise ParseError("expected an action name", pos)
+            labels.append(value)
+            parents.append(pending)
+            current = len(labels)
+            state = AFTER_NAME
+        elif state == NEED_TAIL:
+            if kind == "name":
+                labels.append(value)
+                parents.append(pending)
+                current = len(labels)
+                state = AFTER_NAME
+            elif kind == "open":
+                frames.append(pending)
+                state = NEED_TERM
+            else:
+                raise ParseError("expected an action name or '('", pos)
+        else:  # AFTER_NAME or AFTER_GROUP
+            if kind == "dot":
+                if state == AFTER_GROUP:
+                    raise ParseError("'.' cannot follow a closed parallel group", pos)
+                pending = current
+                state = NEED_TAIL
+            elif kind == "par":
+                pending = frames[-1] if frames else 1
+                state = NEED_TERM
+            elif kind == "close":
+                if not frames:
+                    raise ParseError("unmatched ')'", pos)
+                frames.pop()
+                state = AFTER_GROUP
+            elif kind == "end":
+                if frames:
+                    raise ParseError("unclosed '('", pos)
+                return tuple(labels), tuple(parents)
+            else:
+                raise ParseError(f"unexpected {value!r}", pos)
+    raise AssertionError("tokenizer guarantees an end token")
+
+
+def tree_check(parents) -> tuple:
+    """The SyntaxTree constructor's checks on a parent array, by building the
+    child lists and comparing a depth-first traversal with 1..n; returns the
+    child lists, or raises ValueError with the constructor's message."""
+    parents = tuple(parents)
+    n = len(parents)
+    if n == 0:
+        raise ValueError("a tree has at least one node")
+    if parents[0] != 0:
+        raise ValueError("the root (id 1) must have parent 0")
+    kids = [[] for _ in range(n + 1)]
+    for v in range(2, n + 1):
+        p = parents[v - 1]
+        if not 1 <= p < v:
+            raise ValueError(f"parent of node {v} must be an earlier node id")
+        kids[p].append(v)
+    # ids must be a genuine preorder numbering
+    order = []
+    stack = [1]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(reversed(kids[v]))
+    if order != list(range(1, n + 1)):
+        raise ValueError("node ids are not in prefix-traversal order")
+    return tuple(tuple(k) for k in kids[1:])
 
 
 # -- misc ---------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from decimal import Decimal
 
 import pytest
 
@@ -55,6 +56,25 @@ def test_count_prints_integers_past_the_digit_limit(capsys, tmp_path):
     try:
         assert int(first.split()[0]) == hook
         assert int(second.split(": ")[1].split()[0]) == hook
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+
+@pytest.mark.parametrize("x", [
+    10 ** 4400 - 1,                   # rounds up into the next power of ten
+    12345675 * 10 ** 4393,            # ties at the seventh significant digit
+    12345665 * 10 ** 4393,
+    12345665 * 10 ** 4393 + 1,        # the last digit breaks the tie
+    5 * 10 ** 4500,
+    3 ** 20000,
+], ids=["all-nines", "tie-up", "tie-down", "above-tie", "five", "power-of-three"])
+def test_count_format_past_the_digit_limit(x):
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # as run_cli does for a command
+    try:
+        assert len(str(x)) > 4300
+        assert cli._fmt_count(x) == f"{x} (~{Decimal(x):.6e})"
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -131,6 +151,13 @@ def test_sample_json_probabilities(capsys):
 def test_sample_rejects_bad_count(capsys):
     code, _, err = run(capsys, "sample", TERM, "--samples", "0")
     assert code == 1 and "at least 1" in err
+
+
+@pytest.mark.parametrize("argv", [["sample", TERM], ["gen", "--size", "5"]])
+def test_negative_seed_exits_1(capsys, argv):
+    code, out, err = run(capsys, *argv, "--seed", "-3")
+    assert code == 1 and not out
+    assert "seed must be non-negative" in err
 
 
 # -- profile ----------------------------------------------------------------------

@@ -54,6 +54,26 @@ def test_rng_streams():
     assert seq0 == [replay.uniform_int(1000) for _ in range(20)]
 
 
+
+def _draws(rng, k=3):
+    return [rng.uniform_int(10 ** 9) for _ in range(k)]
+
+
+def test_rng_streams_do_not_alias_seeds():
+    assert _draws(sampling.Rng(0).stream(5)) != _draws(sampling.Rng(5))
+    assert _draws(sampling.Rng(0).stream(2 ** 32)) != _draws(sampling.Rng(1).stream(0))
+    assert _draws(sampling.Rng(1).stream(2)) != _draws(sampling.Rng(1).stream(2).stream(0))
+    keys = {tuple(_draws(sampling.Rng(s).stream(i))) for s in range(20) for i in range(20)}
+    keys |= {tuple(_draws(sampling.Rng(s))) for s in range(400)}
+    assert len(keys) == 800
+
+
+def test_rng_rejects_negative_seeds():
+    # random.Random drops the sign, so Rng(-3) would draw as Rng(3)
+    with pytest.raises(ValueError):
+        sampling.Rng(-3)
+
+
 def test_rng_repr():
     assert sampling.RNG_ALGORITHM in repr(sampling.Rng(3))
 

@@ -1,5 +1,7 @@
 """Syntax layer: parsing, conversions, contraction, semantic trees."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -61,6 +63,126 @@ def test_reference_structure(ref_tree):
     assert t.children(2) == (3, 4)
     assert t.degree_word() == (1, 2, 0, 2, 0, 0)
     assert t.subtree_sizes() == (6, 5, 1, 3, 1, 1)
+
+
+# -- the constructor's preorder check -------------------------------------------
+
+def _outcome(build):
+    try:
+        return build()
+    except ValueError as e:
+        return str(e)
+
+
+def _parent_arrays(n, low, high):
+    """Every array with parent 0 at the root and low(v) <= p(v) < high(v)."""
+    ranges = [range(low(v), high(v)) for v in range(2, n + 1)]
+    return [(0,) + rest for rest in product(*ranges)]
+
+
+def _check_against_reference(parents) -> bool:
+    """SyntaxTree gives the reference check's child table or message;
+    returns whether it accepted the array."""
+    def build():
+        t = trees.SyntaxTree(["x"] * len(parents), parents)
+        return tuple(t.children(v) for v in range(1, t.size + 1))
+    got = _outcome(build)
+    assert got == _outcome(lambda: oracles.tree_check(parents)), parents
+    return not isinstance(got, str)
+
+
+def test_constructor_accepts_exactly_the_preorder_arrays():
+    for n in range(1, 8):
+        accepted = sum(map(_check_against_reference, _parent_arrays(n, lambda v: 1, lambda v: v)))
+        assert accepted == len(oracles.all_shapes(n))
+
+
+def test_constructor_error_priority():
+    # out-of-range parents anywhere outrank a preorder break before them
+    for n in range(1, 6):
+        for parents in _parent_arrays(n, lambda v: -1, lambda v: v + 1):
+            _check_against_reference(parents)
+    for parents in [(1,), (1, 1), (-1, 1), (2, 1, 1)]:
+        _check_against_reference(parents)
+
+
+# -- the parser against the original one ----------------------------------------
+
+_SPACES = ["", " ", "  ", "\t", "\n", "\u00a0", "\u2003"]
+_MUTATIONS = "a1_.()| $\u00e9"
+
+
+@st.composite
+def rendered_terms(draw):
+    """A random shape as term text with random whitespace between tokens,
+    sometimes a top-level forest of two or three of them."""
+    shape = st.recursive(st.just(()), lambda kids: st.lists(kids, min_size=1, max_size=3).map(tuple),
+                         max_leaves=10)
+    names = st.sampled_from(["a", "b", "Z", "_", "x1", "a_b", "_9"])
+    tokens: list[str] = []
+
+    def render(sub):
+        tokens.append(draw(names))
+        if len(sub) == 1:
+            tokens.append(".")
+            render(sub[0])
+        elif sub:
+            tokens.extend([".", "("])
+            for k, child in enumerate(sub):
+                if k:
+                    tokens.append("||")
+                render(child)
+            tokens.append(")")
+
+    for k in range(draw(st.sampled_from([1, 1, 2, 3]))):
+        if k:
+            tokens.append("||")
+        render(draw(shape))
+    space = st.sampled_from(_SPACES)
+    return draw(space) + "".join(tok + draw(space) for tok in tokens)
+
+
+@st.composite
+def mutated_terms(draw):
+    """A rendered term with one character inserted, replaced or deleted."""
+    text = draw(rendered_terms())
+    i = draw(st.integers(min_value=0, max_value=len(text)))
+    c = draw(st.sampled_from(_MUTATIONS))
+    edit = draw(st.sampled_from(["insert", "replace", "delete"]))
+    if edit == "insert":
+        return text[:i] + c + text[i:]
+    if edit == "replace":
+        return text[:i] + c + text[i + 1:]
+    return text[:i] + text[i + 1:]
+
+
+def _parse_outcome(text, allow_forest):
+    try:
+        t = trees.parse_process(text, allow_forest)
+    except trees.ParseError as e:
+        return "error", str(e), e.position
+    return "tree", t.labels, tuple(t.parent(v) for v in range(1, t.size + 1))
+
+
+def _reference_outcome(text, allow_forest):
+    try:
+        labels, parents = oracles.parse_process(text, allow_forest)
+    except oracles.ParseError as e:
+        return "error", str(e), e.position
+    return "tree", labels, parents
+
+
+@given(rendered_terms(), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_parser_matches_reference_on_rendered_terms(text, allow_forest):
+    assert _parse_outcome(text, allow_forest) == _reference_outcome(text, allow_forest)
+
+
+@given(mutated_terms())
+@settings(max_examples=400, deadline=None)
+def test_parser_matches_reference_on_mutated_terms(text):
+    for allow_forest in (False, True):
+        assert _parse_outcome(text, allow_forest) == _reference_outcome(text, allow_forest)
 
 
 # -- conversions --------------------------------------------------------------
