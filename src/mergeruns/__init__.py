@@ -9,8 +9,6 @@ from .trees import (
     SemanticTree,
     SuspendedView,
     SyntaxTree,
-    WeightedTree,
-    annotate_weights,
     build_semantic_tree,
     contract,
     degree_sequence_of_tree,
@@ -32,7 +30,6 @@ from .counts import (
     increasing_count,
     level_bounds_check,
     log_constant_L,
-    log_constant_partial_sum,
     mean_level_width,
     mean_size,
     mean_width,
@@ -56,11 +53,7 @@ from .sampling import (
     PartialSumTree,
     Rng,
     count_runs_via_probability,
-    naive_sample,
     prefix_probability,
-    pst_build,
-    pst_sample,
-    pst_update,
     sample_run,
     uniform_random_tree,
 )

@@ -13,6 +13,7 @@ Exit codes: 0 ok, 1 usage or parse problem, 2 size budget exceeded,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from decimal import Decimal
@@ -49,6 +50,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="mergeruns",
                 description="Exact counting, profiling and sampling of interleaved runs.")
@@ -164,9 +166,11 @@ def _cmd_count(args) -> int:
         # both methods are exact; disagreement means a broken build
         raise RuntimeError(f"count methods disagree: {hook} vs {check}")
     if args.format == "json":
-        print(json.dumps({"actions": t.size, "runs": hook,
-                          "runs_via_probability": check, "agree": True},
-                         sort_keys=True))
+        # the equal counts are turned into decimal once; this is the line
+        # json.dumps(..., sort_keys=True) writes
+        digits = str(hook)
+        print(f'{{"actions": {t.size}, "agree": true, "runs": {digits}, '
+              f'"runs_via_probability": {digits}}}')
     else:
         shown = _fmt_count(hook)  # check == hook
         print(shown)
@@ -195,14 +199,14 @@ def _cmd_sample(args) -> int:
     t = _parse_term(args)
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
-    w = trees.annotate_weights(t)
+    sizes = t.subtree_sizes()
     n = t.size
     rng = sampling.Rng(args.seed)
-    runs = [sampling.sample_run(w, rng) for _ in range(args.samples)]
+    runs = [sampling.sample_run(t, rng) for _ in range(args.samples)]
     if args.format == "json":
         payload = []
         for run in runs:
-            ratios = [Fraction(w.weight(v), n - k) for k, v in enumerate(run)]
+            ratios = [Fraction(sizes[v - 1], n - k) for k, v in enumerate(run)]
             payload.append({
                 "actions": [f"{t.label(v)}#{v}" for v in run],
                 "step_probabilities": [[q.numerator, q.denominator] for q in ratios],
@@ -412,14 +416,14 @@ def _check_round_trips():
 
 def _check_pst():
     rng = sampling.Rng(99)
-    pst = sampling.pst_build([("a", 2), ("b", 3), ("c", 1)])
+    pst = sampling.PartialSumTree([("a", 2), ("b", 3), ("c", 1)])
     assert pst.total_weight == 6
     hits = {k: 0 for k in "abc"}
     for _ in range(6000):
-        hits[sampling.pst_sample(pst, rng)] += 1
+        hits[pst.sample(rng)] += 1
     assert abs(hits["a"] / 6000 - 1 / 3) < 0.05
     assert abs(hits["b"] / 6000 - 1 / 2) < 0.05
-    pst2 = sampling.pst_build([("a", 8), ("b", 4), ("c", 9), ("d", 4), ("f", 1), ("e", 8)])
+    pst2 = sampling.PartialSumTree([("a", 8), ("b", 4), ("c", 9), ("d", 4), ("f", 1), ("e", 8)])
     assert pst2.total_weight == 34
     assert pst2.left_sum() == 9 and pst2.right_sum() == 17
     assert pst2.audit()
@@ -429,12 +433,12 @@ def _check_pst():
 
 
 def _check_run_sampling_uniform():
-    w = trees.annotate_weights(trees.parse_process(REFERENCE_TERM))
+    t = trees.parse_process(REFERENCE_TERM)
     rng = sampling.Rng(2024)
     hits: dict = {}
     draws = 400
     for _ in range(draws):
-        run = sampling.sample_run(w, rng)
+        run = sampling.sample_run(t, rng)
         hits[run] = hits.get(run, 0) + 1
     assert len(hits) == 8
     expected = draws / 8

@@ -18,14 +18,13 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 import mpmath as mp
-import numpy as np
 
 try:
     from gmpy2 import mpz
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     mpz = int
 
-from .trees import SyntaxTree, WeightedTree
+from .trees import SyntaxTree
 
 
 @dataclass(frozen=True)
@@ -142,7 +141,7 @@ def _prime_power_product(primes: list[int], exponents: list[int]) -> int:
     return int(out) << shift
 
 
-def hook_count(t: SyntaxTree | WeightedTree) -> int:
+def hook_count(t: SyntaxTree) -> int:
     """Number of complete runs of t: n! divided by the product of subtree sizes.
 
     The quotient is exact: the subtree of every action must finish after
@@ -152,10 +151,7 @@ def hook_count(t: SyntaxTree | WeightedTree) -> int:
     folds another factor list through the same kernel, so the two routes
     are not independent; the tests hold both to a residue oracle.
     """
-    if isinstance(t, WeightedTree):
-        sizes = t.weights
-    else:
-        sizes = t.subtree_sizes()
+    sizes = t.subtree_sizes()
     n = len(sizes)
     num, den = _ratio(range(2, n + 1), sizes, n)
     assert den == 1
@@ -323,30 +319,6 @@ def log_constant_L(target_abs_error: float = 1e-6) -> Approx:
                 return Approx(mid, half, certified=True)
     raise ArithmeticError(
         f"enclosure width {float(half):.3g} misses target {target_abs_error:.3g}")
-
-
-def log_constant_partial_sum(terms: int) -> float:
-    """Direct partial sum of the same series, chunked numpy in log space.
-
-    Converges like ln(n)/sqrt(n), so tens of millions of terms still sit
-    about 1e-3 away; kept as the slow cross-check route.
-    """
-    if terms < 2:
-        raise ValueError("need at least the n = 2 term")
-    total = 0.0
-    log_g = math.log(1.0 / 16.0)
-    lo = 2
-    chunk = 1 << 20
-    while lo <= terms:
-        hi = min(terms, lo + chunk - 1)
-        ns = np.arange(lo, hi + 1, dtype=np.float64)
-        # weight ratio g(n+1)/g(n) = (2n - 1) / (2n + 2), walked in log space
-        steps = np.log(2.0 * ns - 1.0) - np.log(2.0 * ns + 2.0)
-        logs = log_g + np.concatenate(([0.0], np.cumsum(steps[:-1])))
-        total += float(np.sum(np.log(ns) * np.exp(logs)))
-        log_g += float(np.sum(steps))
-        lo = hi + 1
-    return total
 
 
 def nonplane_count(n: int) -> int:

@@ -12,14 +12,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .counts import _ratio
-from .trees import (BudgetError, SyntaxTree, WeightedTree, annotate_weights,
-                    default_labels, validate_run_prefix)
+from .trees import SyntaxTree, default_labels, validate_run_prefix
 
 RNG_ALGORITHM = "mt19937"
-NAIVE_SAMPLE_LIMIT = 10 ** 7
 
 # a Fraction from a pair already in lowest terms, skipping the gcd the
 # constructor would take (quadratic in the operand length)
@@ -175,45 +173,9 @@ class PartialSumTree:
         return fresh == self.below
 
 
-def pst_build(entries: Iterable[tuple[object, int]]) -> PartialSumTree:
-    return PartialSumTree(entries)
-
-
-def pst_sample(pst: PartialSumTree, rng: Rng):
-    return pst.sample(rng)
-
-
-def pst_update(pst: PartialSumTree, key, weight: int) -> PartialSumTree:
-    pst.update(key, weight)
-    return pst
-
-
-def naive_sample(entries: Sequence[tuple[object, int]], rng: Rng):
-    """One weighted draw the dumb way: materialize the multiset flat.
-
-    Every key is repeated weight times in one array and a single position
-    is drawn, so the cost per draw is the total weight, which is therefore
-    capped.  Kept as the differential-testing oracle for the tree sampler.
-    """
-    total = 0
-    for k, w in entries:
-        if w < 0:
-            raise ValueError(f"negative weight for {k!r}")
-        total += w
-    if total <= 0:
-        raise ValueError("total weight is zero, nothing to sample")
-    if total > NAIVE_SAMPLE_LIMIT:
-        raise BudgetError("flat multiset array would be too large",
-                          total, NAIVE_SAMPLE_LIMIT)
-    flat = []
-    for k, w in entries:
-        flat.extend([k] * w)
-    return flat[rng.uniform_int(total) - 1]
-
-
 # -- exact probabilities ------------------------------------------------------
 
-def prefix_probability(t: SyntaxTree | WeightedTree, sigma: Sequence[int]) -> Fraction:
+def prefix_probability(t: SyntaxTree, sigma: Sequence[int]) -> Fraction:
     """Probability that weighted sampling begins with exactly this prefix.
 
     Exact: the k-th consumed action is chosen among the enabled ones with
@@ -223,23 +185,14 @@ def prefix_probability(t: SyntaxTree | WeightedTree, sigma: Sequence[int]) -> Fr
     the prime-exponent kernel counts._ratio, which returns the quotient in
     lowest terms, so no gcd is taken.
     """
-    rho, _ = _prefix_probability_steps(t, sigma)
-    return rho
-
-
-def _prefix_probability_steps(t, sigma) -> tuple[Fraction, int]:
-    # instrumented twin: also reports the step count, one per step ratio
-    if isinstance(t, WeightedTree):
-        tree, sizes = t.tree, t.weights
-    else:
-        tree, sizes = t, t.subtree_sizes()
-    sigma = validate_run_prefix(tree, sigma)
-    n, p = tree.size, len(sigma)
+    sigma = validate_run_prefix(t, sigma)
+    sizes = t.subtree_sizes()
+    n, p = t.size, len(sigma)
     num, den = _ratio([sizes[v - 1] for v in sigma[1:]], range(n - p + 1, n), n)
-    return _coprime_fraction(num, den), max(p - 1, 0)
+    return _coprime_fraction(num, den)
 
 
-def count_runs_via_probability(t: SyntaxTree | WeightedTree) -> int:
+def count_runs_via_probability(t: SyntaxTree) -> int:
     """Complete-run count recovered as 1 / probability of one fixed run.
 
     Uses the prefix-traversal run (ids ascending), which every tree has:
@@ -250,70 +203,42 @@ def count_runs_via_probability(t: SyntaxTree | WeightedTree) -> int:
     arithmetic and are not independent checks of each other; the tests
     hold both to a residue oracle that shares none of it.
     """
-    count, _ = _count_runs_steps(t)
-    return count
-
-
-def _count_runs_steps(t) -> tuple[int, int]:
-    # instrumented twin: also reports the step count, one per factor folded
-    # after the first on each side, plus one for the quotient
-    if isinstance(t, WeightedTree):
-        tree, sizes = t.tree, t.weights
-    else:
-        tree, sizes = t, t.subtree_sizes()
-    n = tree.size
+    sizes = t.subtree_sizes()
+    n = t.size
     # steps k = 2..n of the probability product, inverted; the k = 1 ratio
     # is n/n and contributes nothing either way
-    num_factors = range(n - 1, 0, -1)
     den_factors = [sizes[k - 1] for k in range(2, n + 1) if sizes[k - 1] > 1]
-    steps = max(len(num_factors) - 1, 0) + max(len(den_factors) - 1, 0) + 1
-    q, den = _ratio(num_factors, den_factors, n)
+    q, den = _ratio(range(n - 1, 0, -1), den_factors, n)
     assert den == 1
-    return q, steps
+    return q
 
 
 # -- samplers -----------------------------------------------------------------
 
-def sample_run(t: SyntaxTree | WeightedTree, rng: Rng,
-               observer: Callable[[int, int, int], None] | None = None) -> tuple[int, ...]:
+def sample_run(t: SyntaxTree, rng: Rng) -> tuple[int, ...]:
     """One complete run of t, uniform over all its runs.
 
     A fresh weighted multiset (one partial-sum tree spanning all node ids,
-    disabled ids at weight 0) starts with just the root at weight n.  The
-    root is appended outright since it is forced; each of the n - 1 later
-    rounds samples an enabled action with probability weight/total, zeroes
-    it and enables its children at their subtree sizes.  Before the p-th
-    action is chosen the total pending weight is always n - p + 1.
-    observer, when given, sees (step, pending_total, enabled_count) before
-    every step.
+    disabled ids at weight 0) holds the enabled actions at their subtree
+    sizes.  The root is appended outright since it is forced, and its
+    children enabled; each of the n - 1 later rounds samples an enabled
+    action with probability weight/total, zeroes it and enables its
+    children.  Before the p-th action is chosen the total pending weight is
+    always n - p + 1.
     """
-    if isinstance(t, WeightedTree):
-        tree, sizes = t.tree, t.weights
-    else:
-        tree, sizes = t, t.subtree_sizes()
-    n = tree.size
+    sizes = t.subtree_sizes()
+    n = t.size
     # complete layout over all n ids up front; ids not yet enabled sit at 0
     pst = PartialSumTree((v, 0) for v in range(1, n + 1))
-    pst.update(1, n)
-    if observer is not None:
-        observer(1, pst.total_weight, 1)
     run = [1]  # the root is the only enabled action, no randomness spent
-    pst.update(1, 0)
-    enabled = 0
-    for c in tree.children(1):
+    for c in t.children(1):
         pst.update(c, sizes[c - 1])
-        enabled += 1
     for p in range(2, n + 1):
-        total = pst.total_weight
-        assert total == n - p + 1
-        if observer is not None:
-            observer(p, total, enabled)
+        assert pst.total_weight == n - p + 1
         v = pst.sample(rng)
         pst.update(v, 0)
-        enabled -= 1
-        for c in tree.children(v):
+        for c in t.children(v):
             pst.update(c, sizes[c - 1])
-            enabled += 1
         run.append(v)
     return tuple(run)
 

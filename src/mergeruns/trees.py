@@ -295,39 +295,6 @@ class SyntaxTree:
         return "\n".join(lines)
 
 
-class WeightedTree:
-    """A syntax tree together with weight(v) = |T(v)| for every node."""
-
-    __slots__ = ("tree", "weights")
-
-    def __init__(self, tree: SyntaxTree, weights: Sequence[int]):
-        weights = tuple(weights)
-        n = tree.size
-        if len(weights) != n:
-            raise ValueError("one weight per node required")
-        for v in range(1, n + 1):
-            expected = 1 + sum(weights[c - 1] for c in tree.children(v))
-            if weights[v - 1] != expected:
-                raise ValueError(f"weight of node {v} must equal 1 + children weights")
-        self.tree = tree
-        self.weights = weights
-
-    @property
-    def size(self) -> int:
-        return self.tree.size
-
-    def weight(self, v: int) -> int:
-        return self.weights[v - 1]
-
-    def __repr__(self) -> str:
-        return f"WeightedTree({self.tree.to_term()!r})"
-
-
-def annotate_weights(t: SyntaxTree) -> WeightedTree:
-    """Attach subtree sizes as node weights (single traversal)."""
-    return WeightedTree(t, t.subtree_sizes())
-
-
 class SemanticTree:
     """Explicit computation tree: every branch is one complete run.
 
@@ -709,9 +676,9 @@ def validate_run_prefix(t: SyntaxTree, sigma: Sequence[int]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class SuspendedView:
-    """What remains of a weighted tree after consuming a run prefix."""
+    """What remains of a tree after consuming a run prefix."""
 
-    source: WeightedTree
+    source: SyntaxTree
     prefix: tuple[int, ...]
     frontier: tuple[int, ...]
 
@@ -721,11 +688,11 @@ class SuspendedView:
         return self.prefix[-1]
 
 
-def suspended_view(t: WeightedTree, sigma: Sequence[int]) -> SuspendedView:
+def suspended_view(t: SyntaxTree, sigma: Sequence[int]) -> SuspendedView:
     """Enabled actions after consuming sigma, in prefix-traversal order of t."""
-    sigma = validate_run_prefix(t.tree, sigma)
+    sigma = validate_run_prefix(t, sigma)
     consumed = set(sigma)
-    frontier = sorted(c for v in sigma for c in t.tree.children(v) if c not in consumed)
+    frontier = sorted(c for v in sigma for c in t.children(v) if c not in consumed)
     return SuspendedView(t, sigma, tuple(frontier))
 
 

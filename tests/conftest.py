@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from mergeruns import trees
+from mergeruns import sampling, trees
 
 REFERENCE_TERM = "a.b.(c || d.(e || f))"
 REFERENCE_SHAPE = (((), ((), ())),)  # nested-tuple form for the oracles
@@ -26,6 +26,22 @@ def ref_tree() -> trees.SyntaxTree:
 @pytest.fixture
 def ref_shape():
     return REFERENCE_SHAPE
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """(numerator factors, denominator factors) of every exact-kernel call
+    made from sampling, in call order."""
+    calls = []
+    real = sampling._ratio
+
+    def spy(num_factors, den_factors, limit):
+        num_factors, den_factors = list(num_factors), list(den_factors)
+        calls.append((num_factors, den_factors))
+        return real(num_factors, den_factors, limit)
+
+    monkeypatch.setattr(sampling, "_ratio", spy)
+    return calls
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

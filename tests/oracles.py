@@ -5,6 +5,7 @@ shapes), parent arrays or term text, and never calls into the package, so agreem
 routines and the library is a genuine cross-check, not a tautology.
 """
 
+import math
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -412,3 +413,69 @@ def degree_word(shape) -> tuple:
 
     walk(shape)
     return tuple(out)
+
+
+# -- the flat-array sampler and the direct log-constant sum ------------------
+#
+# naive_sample is the reference the partial-sum tree is compared with; it
+# draws through any object with a uniform_int(upper) method (the library's
+# Rng) and raises its own BudgetError, with .predicted and .budget.
+
+NAIVE_SAMPLE_LIMIT = 10 ** 7
+
+
+class BudgetError(RuntimeError):
+    def __init__(self, message: str, predicted, budget):
+        super().__init__(message)
+        self.predicted = predicted
+        self.budget = budget
+
+
+def naive_sample(entries, rng):
+    """One weighted draw the dumb way: materialize the multiset flat.
+
+    Every key is repeated weight times in one array and a single position
+    is drawn, so the cost per draw is the total weight, which is therefore
+    capped.  The differential-testing reference for the partial-sum tree.
+    """
+    total = 0
+    for k, w in entries:
+        if w < 0:
+            raise ValueError(f"negative weight for {k!r}")
+        total += w
+    if total <= 0:
+        raise ValueError("total weight is zero, nothing to sample")
+    if total > NAIVE_SAMPLE_LIMIT:
+        raise BudgetError("flat multiset array would be too large",
+                          total, NAIVE_SAMPLE_LIMIT)
+    flat = []
+    for k, w in entries:
+        flat.extend([k] * w)
+    return flat[rng.uniform_int(total) - 1]
+
+
+def log_constant_partial_sum(terms: int) -> float:
+    """Direct partial sum of sum over n >= 2 of ln(n) C_n 4^(-n), chunked
+    numpy in log space.
+
+    Converges like ln(n)/sqrt(n), so tens of millions of terms still sit
+    about 1e-3 away; the slow cross-check of the certified log constant.
+    """
+    import numpy as np
+
+    if terms < 2:
+        raise ValueError("need at least the n = 2 term")
+    total = 0.0
+    log_g = math.log(1.0 / 16.0)
+    lo = 2
+    chunk = 1 << 20
+    while lo <= terms:
+        hi = min(terms, lo + chunk - 1)
+        ns = np.arange(lo, hi + 1, dtype=np.float64)
+        # weight ratio g(n+1)/g(n) = (2n - 1) / (2n + 2), walked in log space
+        steps = np.log(2.0 * ns - 1.0) - np.log(2.0 * ns + 2.0)
+        logs = log_g + np.concatenate(([0.0], np.cumsum(steps[:-1])))
+        total += float(np.sum(np.log(ns) * np.exp(logs)))
+        log_g += float(np.sum(steps))
+        lo = hi + 1
+    return total

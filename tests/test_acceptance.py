@@ -17,6 +17,7 @@ import mpmath as mp
 import scipy.stats
 
 import conftest
+import oracles
 from mergeruns import counts, profiles, sampling, trees
 
 REF_TERM = "a.b.(c || d.(e || f))"
@@ -67,7 +68,7 @@ def test_criterion_01_reference_anchors():
     c.check(profiles.semantic_size(t) == 24, "semantic size is not 24")
     rho = sampling.prefix_probability(t, (1, 2, 4))
     c.check(rho == Fraction(3, 4), f"prefix probability {rho}")
-    view = trees.suspended_view(trees.annotate_weights(t), (1, 2, 4))
+    view = trees.suspended_view(t, (1, 2, 4))
     labels = tuple(t.label(v) for v in view.frontier)
     c.check(labels == ("c", "e", "f"), f"suspended frontier {labels}")
     c.finish()
@@ -180,12 +181,11 @@ def test_criterion_07_geometric_mean():
 def test_criterion_08_sampling_uniformity():
     c = Criterion(8, "sampling-uniformity", 60.0)
     t = trees.parse_process(REF_TERM)
-    w = trees.annotate_weights(t)
     rng = sampling.Rng(RUN_SAMPLING_SEED)
     draws = 80_000
     hits: dict = {}
     for _ in range(draws):
-        run = sampling.sample_run(w, rng)
+        run = sampling.sample_run(t, rng)
         hits[run] = hits.get(run, 0) + 1
     c.check(len(hits) == 8, f"saw {len(hits)} distinct runs")
     expected = draws / 8
@@ -212,7 +212,7 @@ def test_criterion_09_partial_sum_tree():
     entries = [(i, rng.uniform_int(20) - 1) for i in range(1024)]
     if not any(w for _, w in entries):
         entries[0] = (0, 1)
-    pst = sampling.pst_build(entries)
+    pst = sampling.PartialSumTree(entries)
     bound = math.ceil(math.log2(len(entries))) + 1
     for _ in range(10_000):
         key = rng.uniform_int(1024) - 1
@@ -235,7 +235,7 @@ def test_criterion_09_partial_sum_tree():
             break
 
     entries = [("a", 5), ("b", 1), ("c", 9), ("d", 2), ("e", 7)]
-    pst2 = sampling.pst_build(entries)
+    pst2 = sampling.PartialSumTree(entries)
     n_each = 30_000
     got_pst = {k: 0 for k, _ in entries}
     got_naive = {k: 0 for k, _ in entries}
@@ -243,7 +243,7 @@ def test_criterion_09_partial_sum_tree():
     r2 = sampling.Rng(PST_SEED).stream(2)
     for _ in range(n_each):
         got_pst[pst2.sample(r1)] += 1
-        got_naive[sampling.naive_sample(entries, r2)] += 1
+        got_naive[oracles.naive_sample(entries, r2)] += 1
     stat = 0.0
     for k, _ in entries:
         pooled = (got_pst[k] + got_naive[k]) / 2
@@ -254,20 +254,25 @@ def test_criterion_09_partial_sum_tree():
     c.finish()
 
 
-def test_criterion_10_linear_counting():
+def test_criterion_10_linear_counting(kernel_calls):
+    # the step counts are the factors the exact kernel receives (a spy)
     c = Criterion(10, "linear-probability-pass", 11.0)
     t0 = time.perf_counter()
     t = sampling.uniform_random_tree(50, sampling.Rng(BIG_TREE_SEED))
     run = sampling.sample_run(t, sampling.Rng(BIG_TREE_SEED + 1))
     for p in range(2, 51):
-        _, steps = sampling._prefix_probability_steps(t, run[:p])
+        kernel_calls.clear()
+        sampling.prefix_probability(t, run[:p])
+        steps = sum(len(num) for num, _ in kernel_calls)
         c.check(steps == p - 1, f"{steps} multiplications for length {p}")
     c.check(time.perf_counter() - t0 < 1.0, "prefix instrumentation over 1s")
 
     t1 = time.perf_counter()
     n = 100_000
     big = sampling.uniform_random_tree(n, sampling.Rng(BIG_TREE_SEED + 2))
-    count, steps = sampling._count_runs_steps(big)
+    kernel_calls.clear()
+    count = sampling.count_runs_via_probability(big)
+    steps = sum(len(num) + len(den) for num, den in kernel_calls)
     elapsed = time.perf_counter() - t1
     c.check(steps <= 2 * n, f"{steps} multiplications is not a linear pass")
     c.check(count > 0 and count % 1 == 0, "count is not a positive integer")

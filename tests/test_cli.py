@@ -1,9 +1,11 @@
 """Command line behaviour: formats, determinism, exit codes."""
 
 import json
+import os
 import subprocess
 import sys
 from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +61,25 @@ def test_count_prints_integers_past_the_digit_limit(capsys, tmp_path):
     finally:
         sys.set_int_max_str_digits(limit)
 
+
+def test_count_json_past_the_digit_limit(capsys, tmp_path):
+    # the line is built from one decimal conversion; it must be the one
+    # json.dumps writes
+    t = sampling.uniform_random_tree(3000, sampling.Rng(7))
+    path = tmp_path / "big.term"
+    path.write_text(t.to_term(), encoding="utf-8")
+    code, out, err = run(capsys, "count", "--input", str(path), "--format", "json")
+    assert code == 0 and not err
+    hook = counts.hook_count(t)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert len(str(hook)) > 4300
+        want = json.dumps({"actions": 3000, "runs": hook, "runs_via_probability": hook,
+                           "agree": True}, sort_keys=True)
+        assert out == want + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("x", [
@@ -374,3 +395,16 @@ def test_module_entry_points():
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "2"
+
+
+def test_cli_import_leaves_numpy_out():
+    # a fresh interpreter: start-up must not pay for numpy
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mergeruns.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

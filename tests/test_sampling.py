@@ -85,7 +85,7 @@ M2 = [("a", 8), ("b", 4), ("c", 9), ("d", 4), ("f", 1), ("e", 8)]
 
 
 def test_pst_build_and_totals():
-    pst = sampling.pst_build(M0)
+    pst = sampling.PartialSumTree(M0)
     assert pst.total_weight == 6
     assert len(pst) == 3
     assert pst.weight("b") == 3
@@ -93,7 +93,7 @@ def test_pst_build_and_totals():
 
 
 def test_pst_layout_reference():
-    pst = sampling.pst_build(M2)
+    pst = sampling.PartialSumTree(M2)
     assert pst.total_weight == 34
     assert pst.left_sum() == 9
     assert pst.right_sum() == 17
@@ -101,7 +101,7 @@ def test_pst_layout_reference():
 
 
 def test_pst_empty():
-    pst = sampling.pst_build([])
+    pst = sampling.PartialSumTree([])
     assert pst.total_weight == 0
     assert len(pst) == 0
     assert pst.audit()
@@ -110,21 +110,21 @@ def test_pst_empty():
 
 
 def test_pst_single_entry():
-    pst = sampling.pst_build([("only", 5)])
+    pst = sampling.PartialSumTree([("only", 5)])
     assert pst.depth() == 1
     assert pst.sample(sampling.Rng(1)) == "only"
 
 
 def test_pst_build_errors():
     with pytest.raises(ValueError):
-        sampling.pst_build([("a", 1), ("a", 2)])
+        sampling.PartialSumTree([("a", 1), ("a", 2)])
     with pytest.raises(ValueError):
-        sampling.pst_build([("a", -1)])
+        sampling.PartialSumTree([("a", -1)])
 
 
 def test_pst_distribution():
     rng = sampling.Rng(77)
-    pst = sampling.pst_build(M0)
+    pst = sampling.PartialSumTree(M0)
     hits = {"a": 0, "b": 0, "c": 0}
     n = 12000
     for _ in range(n):
@@ -135,7 +135,7 @@ def test_pst_distribution():
 
 
 def test_pst_update_shifts_distribution():
-    pst = sampling.pst_build(M0)
+    pst = sampling.PartialSumTree(M0)
     touched = pst.update("a", 0)
     assert touched <= pst.depth()
     assert pst.total_weight == 4
@@ -149,7 +149,7 @@ def test_pst_update_shifts_distribution():
 
 
 def test_pst_update_errors():
-    pst = sampling.pst_build(M0)
+    pst = sampling.PartialSumTree(M0)
     with pytest.raises(KeyError):
         pst.update("x", 1)
     with pytest.raises(ValueError):
@@ -157,7 +157,7 @@ def test_pst_update_errors():
 
 
 def test_pst_zeroed_never_sampled():
-    pst = sampling.pst_build(M2)
+    pst = sampling.PartialSumTree(M2)
     pst.update("c", 0)
     pst.update("f", 0)
     rng = sampling.Rng(13)
@@ -167,7 +167,7 @@ def test_pst_zeroed_never_sampled():
 
 def test_pst_touched_is_logarithmic():
     entries = [(i, 1) for i in range(2 ** 10)]
-    pst = sampling.pst_build(entries)
+    pst = sampling.PartialSumTree(entries)
     bound = math.ceil(math.log2(len(entries))) + 1
     assert pst.depth() == bound == 11
     for i in (0, 1, 511, 512, 1023):
@@ -175,7 +175,7 @@ def test_pst_touched_is_logarithmic():
 
 
 def test_pst_audit_catches_corruption():
-    pst = sampling.pst_build(M0)
+    pst = sampling.PartialSumTree(M0)
     pst.below[0] += 1  # simulate a broken invariant
     assert not pst.audit()
 
@@ -183,7 +183,7 @@ def test_pst_audit_catches_corruption():
 def test_pst_random_ops_stay_consistent():
     rng = sampling.Rng(2023)
     keys = list(range(40))
-    pst = sampling.pst_build([(k, k % 5) for k in keys])
+    pst = sampling.PartialSumTree([(k, k % 5) for k in keys])
     for step in range(2000):
         k = keys[rng.uniform_int(40) - 1]
         pst.update(k, rng.uniform_int(9) - 1)
@@ -192,20 +192,13 @@ def test_pst_random_ops_stay_consistent():
     assert pst.audit()
 
 
-def test_pst_function_wrappers():
-    pst = sampling.pst_build(M0)
-    assert sampling.pst_update(pst, "b", 5) is pst
-    assert pst.weight("b") == 5
-    assert sampling.pst_sample(pst, sampling.Rng(3)) in {"a", "b", "c"}
-
-
 # -- the flat-array baseline ------------------------------------------------------
 
 def test_naive_sample_matches_flat_array():
     # same seed, same draw: the naive sampler is literally an indexed lookup
     flat = list("aabbbc")
     for seed in range(10):
-        got = sampling.naive_sample(M0, sampling.Rng(seed))
+        got = oracles.naive_sample(M0, sampling.Rng(seed))
         want = flat[sampling.Rng(seed).uniform_int(6) - 1]
         assert got == want
 
@@ -215,28 +208,28 @@ def test_naive_sample_distribution():
     hits = {"a": 0, "b": 0, "c": 0}
     n = 9000
     for _ in range(n):
-        hits[sampling.naive_sample(M0, rng)] += 1
+        hits[oracles.naive_sample(M0, rng)] += 1
     assert abs(hits["a"] / n - 1 / 3) < 0.02
     assert abs(hits["b"] / n - 1 / 2) < 0.02
 
 
 def test_naive_sample_limits():
-    with pytest.raises(trees.BudgetError) as e:
-        sampling.naive_sample([("a", sampling.NAIVE_SAMPLE_LIMIT + 1)], sampling.Rng(1))
-    assert e.value.budget == sampling.NAIVE_SAMPLE_LIMIT
+    with pytest.raises(oracles.BudgetError) as e:
+        oracles.naive_sample([("a", oracles.NAIVE_SAMPLE_LIMIT + 1)], sampling.Rng(1))
+    assert e.value.budget == oracles.NAIVE_SAMPLE_LIMIT
     with pytest.raises(ValueError):
-        sampling.naive_sample([("a", 0)], sampling.Rng(1))
+        oracles.naive_sample([("a", 0)], sampling.Rng(1))
 
 
 def test_pst_and_naive_agree_in_distribution():
     n = 6000
     counts_pst = {k: 0 for k, _ in M2}
     counts_naive = {k: 0 for k, _ in M2}
-    pst = sampling.pst_build(M2)
+    pst = sampling.PartialSumTree(M2)
     r1, r2 = sampling.Rng(31).stream(0), sampling.Rng(31).stream(1)
     for _ in range(n):
         counts_pst[pst.sample(r1)] += 1
-        counts_naive[sampling.naive_sample(M2, r2)] += 1
+        counts_naive[oracles.naive_sample(M2, r2)] += 1
     for key, w in M2:
         assert abs(counts_pst[key] / n - counts_naive[key] / n) < 0.03, key
 
@@ -262,33 +255,30 @@ def test_prefix_probability_matches_oracle():
                         oracles.prefix_probability(shape, run[:p])
 
 
-def test_prefix_probability_accepts_weighted(ref_tree):
-    w = trees.annotate_weights(ref_tree)
-    assert sampling.prefix_probability(w, (1, 2, 4)) == Fraction(3, 4)
-
-
 def test_prefix_probability_rejects_bad_prefixes(ref_tree):
     for bad in ([], [2], [1, 5], [1, 2, 2]):
         with pytest.raises(ValueError):
             sampling.prefix_probability(ref_tree, bad)
 
 
-def test_prefix_probability_step_counts():
+def test_prefix_probability_step_counts(kernel_calls):
     rng = sampling.Rng(64)
     t = sampling.uniform_random_tree(50, rng)
-    run = sampling.sample_run(trees.annotate_weights(t), rng)
+    run = sampling.sample_run(t, rng)
+    parents = [t.parent(v) for v in range(1, 51)]
     for p in range(2, 51):
-        rho, steps = sampling._prefix_probability_steps(t, run[:p])
+        kernel_calls.clear()
+        rho = sampling.prefix_probability(t, run[:p])
+        steps = sum(len(num) for num, _ in kernel_calls)
         assert steps == p - 1
-        assert rho == sampling.prefix_probability(t, run[:p])
+        assert rho == oracles.prefix_probability_sequential(parents, run[:p])
 
 
 def test_prefix_probability_children_sum_to_parent(ref_tree):
-    w = trees.annotate_weights(ref_tree)
     for sigma in [(1,), (1, 2), (1, 2, 4), (1, 2, 3)]:
-        view = trees.suspended_view(w, sigma)
-        base = sampling.prefix_probability(w, sigma)
-        ext = sum(sampling.prefix_probability(w, sigma + (v,))
+        view = trees.suspended_view(ref_tree, sigma)
+        base = sampling.prefix_probability(ref_tree, sigma)
+        ext = sum(sampling.prefix_probability(ref_tree, sigma + (v,))
                   for v in view.frontier)
         assert ext == base
 
@@ -308,10 +298,12 @@ def test_count_runs_extremes():
     assert sampling.count_runs_via_probability(star) == math.factorial(11)
 
 
-def test_count_runs_step_budget():
+def test_count_runs_step_budget(kernel_calls):
     for size in (50, 200, 400):
         t = sampling.uniform_random_tree(size, sampling.Rng(size))
-        count, steps = sampling._count_runs_steps(t)
+        kernel_calls.clear()
+        count = sampling.count_runs_via_probability(t)
+        steps = sum(len(num) + len(den) for num, den in kernel_calls)
         assert count == counts.hook_count(t)
         assert steps <= 2 * size
 
@@ -343,24 +335,36 @@ def test_sample_run_is_always_a_run():
             assert len(run) == n
 
 
-def test_sample_run_observer_invariant(ref_tree):
-    w = trees.annotate_weights(ref_tree)
+@pytest.fixture
+def draw_log(monkeypatch):
+    """(total weight, nonzero weights) at every partial-sum tree draw that
+    sampling makes, in draw order."""
     log = []
-    sampling.sample_run(w, sampling.Rng(23),
-                        observer=lambda *args: log.append(args))
-    assert [entry[0] for entry in log] == [1, 2, 3, 4, 5, 6]
-    for p, total, enabled in log:
+
+    class Spy(sampling.PartialSumTree):
+        __slots__ = ()
+
+        def sample(self, rng):
+            log.append((self.total_weight, sum(1 for w in self.weights if w)))
+            return super().sample(rng)
+
+    monkeypatch.setattr(sampling, "PartialSumTree", Spy)
+    return log
+
+
+def test_sample_run_observer_invariant(ref_tree, draw_log):
+    run = sampling.sample_run(ref_tree, sampling.Rng(23))
+    # the root (step 1) is forced and taken without a draw; steps 2..6 draw
+    assert run[0] == 1 and len(draw_log) == 5
+    for p, (total, enabled) in enumerate(draw_log, start=2):
         assert total == 6 - p + 1
         assert 1 <= enabled <= total
 
 
-def test_sample_run_observer_matches_suspension(ref_tree):
-    w = trees.annotate_weights(ref_tree)
-    log = []
-    run = sampling.sample_run(w, sampling.Rng(29),
-                              observer=lambda *args: log.append(args))
-    for p, total, enabled in log[1:]:
-        view = trees.suspended_view(w, run[:p - 1])
+def test_sample_run_observer_matches_suspension(ref_tree, draw_log):
+    run = sampling.sample_run(ref_tree, sampling.Rng(29))
+    for p, (total, enabled) in enumerate(draw_log, start=2):
+        view = trees.suspended_view(ref_tree, run[:p - 1])
         assert enabled == len(view.frontier)
 
 

@@ -346,16 +346,6 @@ def test_enumerate_limit():
 
 # -- weights ------------------------------------------------------------------
 
-def test_annotate_weights(ref_tree):
-    w = trees.annotate_weights(ref_tree)
-    assert [w.weight(v) for v in range(1, 7)] == [6, 5, 1, 3, 1, 1]
-
-
-def test_weighted_tree_validation(ref_tree):
-    with pytest.raises(ValueError):
-        trees.WeightedTree(ref_tree, (6, 5, 1, 3, 1, 2))
-
-
 # -- run prefixes and suspension ----------------------------------------------
 
 def test_validate_run_prefix(ref_tree):
@@ -374,8 +364,7 @@ def test_validate_run_prefix(ref_tree):
 
 
 def test_suspended_view(ref_tree):
-    w = trees.annotate_weights(ref_tree)
-    view = trees.suspended_view(w, [1, 2, 4])
+    view = trees.suspended_view(ref_tree, [1, 2, 4])
     assert view.frontier == (3, 5, 6)
     assert [ref_tree.label(v) for v in view.frontier] == ["c", "e", "f"]
     assert view.root == 4
