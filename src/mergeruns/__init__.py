@@ -10,32 +10,27 @@ from .trees import (
     SuspendedView,
     SyntaxTree,
     build_semantic_tree,
-    contract,
     degree_sequence_of_tree,
     enumerate_trees,
     parse_process,
     suspended_view,
     tree_from_degree_sequence,
-    tree_to_poset,
     validate_run_prefix,
 )
 from .counts import (
     Approx,
     asymptotic_size,
     catalan,
-    catalan_power_coeff,
     cumulative_size,
     geometric_mean_width,
     hook_count,
     increasing_count,
-    level_bounds_check,
     log_constant_L,
     mean_level_width,
     mean_size,
     mean_width,
     mean_width_asymptotic,
     nonplane_count,
-    nonplane_mean_width,
     r_sequence,
 )
 from .profiles import (
@@ -46,7 +41,6 @@ from .profiles import (
     level_profile,
     limit_profile,
     limit_profile_error_bound,
-    profile_is_monotone,
     semantic_size,
 )
 from .sampling import (

@@ -196,21 +196,14 @@ def mean_level_width(n: int, i: int) -> Fraction:
 _MEAN_SIZE_CACHE: list[Fraction] = [Fraction(0), Fraction(1), Fraction(2)]
 
 
-def mean_size(n: int, method: str = "recurrence") -> Fraction:
+def mean_size(n: int) -> Fraction:
     """Average node count of the computation tree over shapes of size n.
 
-    method="exact_sum" adds the per-level averages (n terms of factorials),
-    method="recurrence" unrolls a four-term linear recurrence with the cached
-    prefix; the two agree and the tests hold each against the other.
+    Unrolls a four-term linear recurrence with the cached prefix; the tests
+    hold it against the sum of the per-level averages mean_level_width.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if method == "exact_sum":
-        if n == 0:
-            return Fraction(0)
-        return sum((mean_level_width(n, i) for i in range(n)), Fraction(0))
-    if method != "recurrence":
-        raise ValueError("method must be 'exact_sum' or 'recurrence'")
     cache = _MEAN_SIZE_CACHE
     while len(cache) <= n:
         k = len(cache) - 3  # recurrence offset: computes term k+3
@@ -346,31 +339,3 @@ def _nonplane_table(n: int) -> list[int]:
         t[m + 1] = sum(c[k] * t[m + 1 - k] for k in range(1, m + 1)) // m
     return t
 
-
-def nonplane_mean_width(n: int) -> Fraction:
-    """Average run count over unordered shapes: (n-1)! / t_n."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    return Fraction(math.factorial(n - 1), nonplane_count(n))
-
-
-def catalan_power_coeff(n: int, k: int) -> int:
-    """Coefficient of z^(n+k) in the k-th power of the shape series."""
-    if k < 1 or n < 1:
-        raise ValueError("need n >= 1 and k >= 1")
-    return k * math.comb(k + 2 * n - 1, n - 1) // n
-
-
-def level_bounds_check(n: int, i: int) -> bool:
-    """Verify 1 <= mean_level_width(n,i) 2^(n-1) i!/n! <= 1/(1 - i^2/2n).
-
-    Exact rational arithmetic throughout; the upper bound is only claimed
-    while i^2 < 2n, so that is a precondition.
-    """
-    if not 0 <= i <= n - 1:
-        raise ValueError("level index must be in 0..n-1")
-    if i * i >= 2 * n:
-        raise ValueError("bound requires i^2 < 2n")
-    value = mean_level_width(n, i) * 2 ** (n - 1) * math.factorial(i) / math.factorial(n)
-    bound = 1 / (1 - Fraction(i * i, 2 * n))
-    return 1 <= value <= bound

@@ -92,25 +92,14 @@ def enumerate_admissible_cuts(t: SyntaxTree, size_limit: int = CUT_ENUMERATION_L
 _M_CACHE: list[int] = [0, 1, 2, 7, 29, 131, 625]
 
 
-def cut_count_sequence(N: int, method: str = "recurrence") -> list[int]:
+def cut_count_sequence(N: int) -> list[int]:
     """Total admissible cuts (nonempty) over all shapes, sizes 0..N.
 
-    method="brute" enumerates every shape and only goes up to N = 10;
-    method="recurrence" unrolls the five-term linear recurrence from the
-    stored seed terms and needs N >= 4.  Both agree on the overlap.
+    Unrolls the five-term linear recurrence from the stored seed terms, so
+    it needs N >= 4; the tests hold it against brute-force cut counts.
     """
-    if method == "brute":
-        if not 0 <= N <= 10:
-            raise ValueError("brute cut counting needs 0 <= N <= 10")
-        from .trees import enumerate_trees
-        out = [0]
-        for n in range(1, N + 1):
-            out.append(sum(count_admissible_cuts(t) - 1 for t in enumerate_trees(n)))
-        return out
-    if method != "recurrence":
-        raise ValueError("method must be 'brute' or 'recurrence'")
     if N < 4:
-        raise ValueError("recurrence method needs N >= 4")
+        raise ValueError("cut_count_sequence needs N >= 4")
     seq = list(_M_CACHE)
     while len(seq) <= N:
         k = len(seq) - 4  # next index is k + 4
@@ -213,8 +202,3 @@ def limit_profile_error_bound(c: float, n: int) -> float:
     """Calibrated absolute bound for limit_profile's log-scale error."""
     return LIMIT_PROFILE_ERROR_FACTOR / (c * (1.0 - c) * n)
 
-
-def profile_is_monotone(t: SyntaxTree) -> bool:
-    """Whether the level profile never decreases with depth."""
-    prof = level_profile(t)
-    return all(a <= b for a, b in zip(prof, prof[1:]))

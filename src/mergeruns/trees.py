@@ -4,8 +4,8 @@ A term like ``a.b.(c || d.(e || f))`` denotes a process whose actions form a
 plane rooted tree: prefixing adds a child, parallel composition adds several.
 Nodes are addressed by preorder id 1..n, which is stable under relabelling and
 is the identity used by every other module.  This module provides the parser,
-child contraction, the explicit semantic-tree expansion (the small-size
-oracle), degree-sequence encoding, and exhaustive enumeration.
+the explicit semantic-tree expansion (the small-size oracle), degree-sequence
+encoding, and exhaustive enumeration.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ class SyntaxTree:
     """Immutable plane rooted tree; node v carries a text label.
 
     Node ids are 1..n in prefix-traversal order, so the subtree rooted at v
-    occupies the contiguous id range [v, v + subtree_size(v)).
+    occupies the contiguous id range [v, v + |T(v)|).
     """
 
     __slots__ = ("_labels", "_parents", "_children", "_sizes", "_by_label")
@@ -113,35 +113,11 @@ class SyntaxTree:
             raise ValueError(f"degree word leaves {sum(r for _, r in stack)} unfilled child slots at position {n}")
         return cls(labels, parents)
 
-    @classmethod
-    def from_nested(cls, record) -> "SyntaxTree":
-        """Build from the nested record form {"label": str, "children": [...]}."""
-        labels: list[str] = []
-        parents: list[int] = []
-        stack = [(record, 0)]
-        while stack:
-            rec, parent = stack.pop()
-            if not isinstance(rec, dict) or "label" not in rec:
-                raise ValueError("each node record needs a 'label' field")
-            children = rec.get("children", [])
-            if not isinstance(children, list):
-                raise ValueError("'children' must be a list")
-            labels.append(str(rec["label"]))
-            parents.append(parent)
-            vid = len(labels)
-            for child in reversed(children):
-                stack.append((child, vid))
-        return cls(labels, parents)
-
     # -- basic accessors ---------------------------------------------------
 
     @property
     def size(self) -> int:
         return len(self._labels)
-
-    @property
-    def root(self) -> int:
-        return 1
 
     def label(self, v: int) -> str:
         return self._labels[v - 1]
@@ -157,9 +133,6 @@ class SyntaxTree:
             # the table is None until first use; an unraised try costs
             # nothing, so samplers calling this per node pay no check
             return self._child_table()[v - 1]
-
-    def degree(self, v: int) -> int:
-        return len(self.children(v))
 
     def _child_table(self) -> tuple[tuple[int, ...], ...]:
         """Child ids of every node, indexed by v - 1; built on first use,
@@ -184,13 +157,6 @@ class SyntaxTree:
                 sizes[self._parents[v - 1]] += sizes[v]
             self._sizes = tuple(sizes[1:])
         return self._sizes
-
-    def subtree_size(self, v: int) -> int:
-        return self.subtree_sizes()[v - 1]
-
-    def subtree_slice(self, v: int) -> tuple[int, int]:
-        """Half-open id range [v, v + |T(v)|) covered by the subtree at v."""
-        return v, v + self.subtree_size(v)
 
     def nodes_by_label(self, label: str) -> tuple[int, ...]:
         if self._by_label is None:
@@ -224,20 +190,6 @@ class SyntaxTree:
         return f"SyntaxTree({self.to_term()!r})"
 
     # -- serialization -----------------------------------------------------
-
-    def structural_key(self) -> str:
-        """Label-independent canonical form, nested parentheses."""
-        parts = []
-        stack: list[int] = []
-        for d in self.degree_word():
-            parts.append("(")
-            stack.append(d)
-            while stack and stack[-1] == 0:
-                stack.pop()
-                parts.append(")")
-                if stack:
-                    stack[-1] -= 1
-        return "".join(parts)
 
     def to_term(self) -> str:
         """Render as a term string parseable by parse_process."""
@@ -286,13 +238,7 @@ class SyntaxTree:
         return recs[1]
 
     def to_dot(self, graph_name: str = "syntax_tree") -> str:
-        lines = [f"digraph {graph_name} {{"]
-        for v in range(1, self.size + 1):
-            lines.append(f'  n{v} [label="{self._labels[v - 1]}"];')
-        for v in range(2, self.size + 1):
-            lines.append(f"  n{self._parents[v - 1]} -> n{v};")
-        lines.append("}")
-        return "\n".join(lines)
+        return _dot(graph_name, self._labels, self._parents)
 
 
 class SemanticTree:
@@ -349,29 +295,17 @@ class SemanticTree:
                 v = self.parents[v - 1]
             yield tuple(reversed(path))
 
-    def leftmost_branch_degrees(self) -> tuple[int, ...]:
-        """Node degrees along the leftmost root-to-leaf branch."""
-        kids: list[list[int]] = [[] for _ in self.labels]
-        for v, p in enumerate(self.parents, start=1):
-            if p:
-                kids[p - 1].append(v)
-        out = []
-        v = 1
-        while True:
-            out.append(len(kids[v - 1]))
-            if not kids[v - 1]:
-                return tuple(out)
-            v = kids[v - 1][0]
-
     def to_dot(self, graph_name: str = "semantic_tree") -> str:
-        lines = [f"digraph {graph_name} {{"]
-        for v in range(1, self.node_count + 1):
-            lines.append(f'  n{v} [label="{self.labels[v - 1]}"];')
-        for v in range(1, self.node_count + 1):
-            if self.parents[v - 1]:
-                lines.append(f"  n{self.parents[v - 1]} -> n{v};")
-        lines.append("}")
-        return "\n".join(lines)
+        return _dot(graph_name, self.labels, self.parents)
+
+
+def _dot(graph_name: str, labels: Sequence[str], parents: Sequence[int]) -> str:
+    """Graphviz digraph of a parent array (ids 1..n, parent 0 = none)."""
+    lines = [f"digraph {graph_name} {{"]
+    lines += [f'  n{v} [label="{label}"];' for v, label in enumerate(labels, start=1)]
+    lines += [f"  n{p} -> n{v};" for v, p in enumerate(parents, start=1) if p]
+    lines.append("}")
+    return "\n".join(lines)
 
 
 # -- parsing ----------------------------------------------------------------
@@ -494,47 +428,15 @@ def _parse_error(text: str, allow_forest: bool, index: int, message: str) -> Par
     return ParseError(message, position)
 
 
-# -- structural operations ---------------------------------------------------
-
-def contract(t: SyntaxTree, i: int) -> SyntaxTree:
-    """The i-contraction of t (children of the root are numbered 1..r).
-
-    The new root is the i-th child v_i of the old root; its children are the
-    untouched sibling subtrees with v_i's own children spliced in between.
-    Size shrinks by exactly one.
-    """
-    root_kids = t.children(1)
-    r = len(root_kids)
-    if r == 0:
-        raise ValueError("cannot contract a single-node tree")
-    if not 1 <= i <= r:
-        raise ValueError(f"child index {i} out of range 1..{r}")
-    v = root_kids[i - 1]
-    degrees: list[int] = [t.degree(v) + r - 1]
-    labels: list[str] = [t.label(v)]
-    old_deg = [t.degree(w) for w in range(1, t.size + 1)]
-    old_lab = t.labels
-
-    def emit(a: int, b: int):
-        degrees.extend(old_deg[a - 1:b - 1])
-        labels.extend(old_lab[a - 1:b - 1])
-
-    for w in root_kids[:i - 1]:
-        emit(*t.subtree_slice(w))
-    for c in t.children(v):
-        emit(*t.subtree_slice(c))
-    for w in root_kids[i:]:
-        emit(*t.subtree_slice(w))
-    return SyntaxTree.from_degree_word(degrees, labels)
-
+# -- semantic expansion and encodings ----------------------------------------
 
 def build_semantic_tree(t: SyntaxTree, node_budget: int = SEMANTIC_NODE_BUDGET) -> SemanticTree:
     """Explicitly expand the semantic tree of t.
 
     The root consumes t's root; every node's children consume, left to right,
-    the enabled actions of the remaining term (repeated child contraction).
-    The expansion is refused up front when the predicted node count exceeds
-    node_budget, since sizes grow factorially.
+    the actions enabled once it is done.  The expansion is refused up front
+    when the predicted node count exceeds node_budget, since sizes grow
+    factorially.
     """
     from .profiles import semantic_size  # deferred: profiles builds on this module
 
@@ -619,7 +521,7 @@ def default_labels(n: int) -> list[str]:
     return out
 
 
-def enumerate_trees(n: int, oracle_limit: int = ENUMERATION_LIMIT) -> Iterator[SyntaxTree]:
+def enumerate_trees(n: int) -> Iterator[SyntaxTree]:
     """Yield every plane rooted tree of size n exactly once.
 
     Canonical order: lexicographic on the prefix-traversal degree word, which
@@ -627,9 +529,9 @@ def enumerate_trees(n: int, oracle_limit: int = ENUMERATION_LIMIT) -> Iterator[S
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > oracle_limit:
-        raise BudgetError(f"enumeration of size {n} exceeds the oracle limit {oracle_limit}",
-                          n, oracle_limit)
+    if n > ENUMERATION_LIMIT:
+        raise BudgetError(f"enumeration of size {n} exceeds the oracle limit {ENUMERATION_LIMIT}",
+                          n, ENUMERATION_LIMIT)
     labels = default_labels(n)
     word: list[int] = []
 
@@ -695,7 +597,3 @@ def suspended_view(t: SyntaxTree, sigma: Sequence[int]) -> SuspendedView:
     frontier = sorted(c for v in sigma for c in t.children(v) if c not in consumed)
     return SuspendedView(t, sigma, tuple(frontier))
 
-
-def tree_to_poset(t: SyntaxTree) -> list[tuple[int, int]]:
-    """Covering relation of the tree order: one (parent, child) pair per edge."""
-    return [(t.parent(v), v) for v in range(2, t.size + 1)]

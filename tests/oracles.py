@@ -378,28 +378,9 @@ def tree_check(parents) -> tuple:
 
 # -- misc ---------------------------------------------------------------------
 
-def contract_shape(shape, v: int) -> tuple:
-    """Merge node v into its parent, keeping child order (v's children
-    replace v in the parent's list)."""
-    target = [0]
-
-    def walk(sub):
-        target[0] += 1
-        me = target[0]
-        kids = [walk(ch) for ch in sub]
-        return me, kids
-
-    def rebuild(annotated):
-        me, kids = annotated
-        out = []
-        for k in kids:
-            if k[0] == v:
-                out.extend(rebuild(c) for c in k[1])
-            else:
-                out.append(rebuild(k))
-        return tuple(out)
-
-    return rebuild(walk(shape))
+def unordered_key(shape) -> tuple:
+    """Canonical form of a shape up to the order of siblings."""
+    return tuple(sorted(unordered_key(ch) for ch in shape))
 
 
 def degree_word(shape) -> tuple:

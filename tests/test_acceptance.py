@@ -118,17 +118,17 @@ def test_criterion_03_aggregates_match_means():
 def test_criterion_04_recurrences():
     c = Criterion(4, "verified-recurrences", 10.0)
     for n in range(3, 31):
-        c.check(counts.mean_size(n, "recurrence") == counts.mean_size(n, "exact_sum"),
-                f"mean size routes differ at n={n}")
+        exact_sum = sum(counts.mean_level_width(n, i) for i in range(n))
+        c.check(counts.mean_size(n) == exact_sum, f"mean size routes differ at n={n}")
     r = counts.r_sequence(30)
     fact = 2
     for n in range(3, 31):
         fact *= n
         c.check(r[n] == counts.mean_size(n) * 2 ** (n - 1) / fact,
                 f"ratio identity fails at n={n}")
-    brute = profiles.cut_count_sequence(10, method="brute")
-    rec = profiles.cut_count_sequence(10, method="recurrence")
-    c.check(brute[4:] == rec[4:], "cut-count routes differ on 4..10")
+    brute = [sum(oracles.cut_count(s) for s in oracles.all_shapes(n)) for n in range(4, 11)]
+    rec = profiles.cut_count_sequence(10)
+    c.check(brute == rec[4:], "cut-count routes differ on 4..10")
     c.finish()
 
 

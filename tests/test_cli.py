@@ -1,12 +1,14 @@
 """Command line behaviour: formats, determinism, exit codes."""
 
 import json
+import math
 import os
 import subprocess
 import sys
 from decimal import Decimal
 from pathlib import Path
 
+import mpmath as mp
 import pytest
 
 from mergeruns import cli, counts, sampling
@@ -120,6 +122,19 @@ def test_prob_json(capsys):
     doc = json.loads(out)
     assert doc["probability"] == [3, 4]
     assert doc["prefix"] == [1, 2, 4]
+
+
+def test_prob_below_the_float_range(capsys):
+    # 1/200! is about 1.27e-375, which a float reads as 0
+    star = "a.(" + " || ".join(f"x{i}" for i in range(200)) + ")"
+    prefix = "a," + ",".join(f"x{i}" for i in range(200))
+    code, out, _ = run(capsys, "prob", star, "--prefix", prefix)
+    assert code == 0
+    assert out == f"1/{math.factorial(200)} (~1.26798e-375)\n"
+    code, out, _ = run(capsys, "prob", star, "--prefix", prefix, "--format", "json")
+    assert code == 0
+    assert out == (f'{{"approx": 1.26798e-375, "prefix": {list(range(1, 202))}, '
+                   f'"probability": [1, {math.factorial(200)}]}}\n')
 
 
 def test_prob_ambiguous_label(capsys):
@@ -282,6 +297,22 @@ def test_seq_geomean_decimal(capsys):
     assert lines[2].startswith("3,1.41421356237")
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_seq_geomean_past_the_float_range(capsys, fmt):
+    # the geometric mean passes 1e308 at n = 214
+    code, out, _ = run(capsys, "seq", "geomean", "--to", "220", "--format", fmt)
+    assert code == 0
+    if fmt == "json":
+        shown = {r["n"]: r["numerator"] for r in json.loads(out)["values"]}
+    else:
+        sep = "," if fmt == "csv" else " "
+        rows = [line.split(sep) for line in out.splitlines()]
+        shown = {int(r[0]): r[1] for r in rows if r[0] != "n"}
+    for n in range(214, 221):
+        assert shown[n] == mp.nstr(counts.geometric_mean_width(n), 12), n
+    assert shown[213] == f"{float(counts.geometric_mean_width(213)):.12g}"
+
+
 def test_seq_json(capsys):
     _, out, _ = run(capsys, "seq", "mean_size", "--to", "4", "--format", "json")
     doc = json.loads(out)
@@ -380,9 +411,22 @@ def test_version(capsys):
 
 
 def test_selftest_passes(capsys):
-    code, out, _ = run(capsys, "selftest")
-    assert code == 0
-    assert "all 8 checks passed" in out
+    code, out, err = run(capsys, "selftest")
+    assert code == 0 and not err
+    assert out == "ok reference-term\nok run-sampling-uniformity\nall 2 checks passed\n"
+
+
+def test_selftest_reports_a_failing_check(capsys, monkeypatch):
+    def broken():
+        raise AssertionError("stat 99.0")
+
+    checks = [(name, broken if name == "run-sampling-uniformity" else check)
+              for name, check in cli.SELFTEST_CHECKS]
+    monkeypatch.setattr(cli, "SELFTEST_CHECKS", checks)
+    code, out, err = run(capsys, "selftest")
+    assert code == 3
+    assert out == "ok reference-term\nFAIL run-sampling-uniformity: stat 99.0\n"
+    assert err == "1 of 2 checks failed\n"
 
 
 def test_module_entry_points():

@@ -192,12 +192,7 @@ def test_mean_size_anchors():
 
 def test_mean_size_routes_agree():
     for n in range(0, 31):
-        assert counts.mean_size(n, "exact_sum") == counts.mean_size(n, "recurrence"), n
-
-
-def test_mean_size_method_validation():
-    with pytest.raises(ValueError):
-        counts.mean_size(5, "guess")
+        assert counts.mean_size(n) == sum(counts.mean_level_width(n, i) for i in range(n)), n
 
 
 def test_mean_size_is_sum_of_level_means():
@@ -340,10 +335,11 @@ def test_nonplane_values():
 
 
 def test_nonplane_mean_width():
-    assert counts.nonplane_mean_width(4) == Fraction(math.factorial(3), 4)
+    # the average run count over unordered shapes, (n-1)!/t_n
+    assert Fraction(math.factorial(3), counts.nonplane_count(4)) == Fraction(3, 2)
     for n in range(1, 10):
-        assert counts.nonplane_mean_width(n) == \
-            Fraction(math.factorial(n - 1), counts.nonplane_count(n))
+        unordered = {oracles.unordered_key(s) for s in oracles.all_shapes(n)}
+        assert counts.nonplane_count(n) == len(unordered), n
 
 
 def test_nonplane_mean_width_asymptotic_trend():
@@ -352,7 +348,7 @@ def test_nonplane_mean_width_asymptotic_trend():
     eta, gamma = 0.3383218391, 1.559490
     devs = []
     for n in (50, 100, 200):
-        exact = counts.nonplane_mean_width(n)
+        exact = Fraction(math.factorial(n - 1), counts.nonplane_count(n))
         with mp.workprec(300):
             est = 2 * mp.sqrt(2) * mp.pi * n / gamma * (n * mp.mpf(eta) / mp.e) ** n
             ratio = mp.mpf(exact.numerator) / exact.denominator / est
@@ -372,45 +368,18 @@ def test_nonplane_growth_rate():
     assert abs(r400 - eta) > abs(extrapolated - eta)  # extrapolation helps
 
 
-# -- series coefficients --------------------------------------------------------
-
-def test_catalan_power_coeff_first_row():
-    # k = 1 recovers the series itself: shapes with one extra node
-    for n in range(1, 21):
-        assert counts.catalan_power_coeff(n, 1) == counts.catalan(n + 1)
-
-
-def test_catalan_power_coeff_example():
-    assert counts.catalan_power_coeff(3, 2) == 14
-
-
-def test_catalan_power_coeff_is_series_power():
-    # multiply the truncated generating series (constant term 1) directly
-    N = 10
-    base = [counts.catalan(m + 1) for m in range(N + 1)]
-    power = [1] + [0] * N
-    for k in range(1, 5):
-        nxt = [0] * (N + 1)
-        for i in range(N + 1):
-            for j in range(N + 1 - i):
-                nxt[i + j] += power[i] * base[j]
-        power = nxt
-        for n in range(1, N + 1):
-            assert counts.catalan_power_coeff(n, k) == power[n], (n, k)
-
-
 # -- bounds on level means ------------------------------------------------------
 
 def test_level_bounds_check():
-    assert counts.level_bounds_check(50, 3)
-    assert counts.level_bounds_check(50, 0)  # the deep end is tight at one
-    for i in range(0, 14):
-        assert counts.level_bounds_check(100, i), i
+    # 1 <= mean_level_width(n, i) 2^(n-1) i!/n! <= 1/(1 - i^2/2n), claimed
+    # while i^2 < 2n
+    def scaled(n, i):
+        return counts.mean_level_width(n, i) * 2 ** (n - 1) * math.factorial(i) / math.factorial(n)
 
-
-def test_level_bounds_domain():
-    with pytest.raises(ValueError):
-        counts.level_bounds_check(50, 10)  # i^2 must stay below 2n
+    assert scaled(50, 0) == 1  # the deep end is tight at one
+    for n, i in [(50, 3)] + [(100, i) for i in range(0, 14)]:
+        assert i * i < 2 * n
+        assert 1 <= scaled(n, i) <= 1 / (1 - Fraction(i * i, 2 * n)), (n, i)
 
 
 # -- the Approx container -------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Syntax layer: parsing, conversions, contraction, semantic trees."""
+"""Syntax layer: parsing, conversions, enumeration, semantic trees."""
 
 from itertools import product
 
@@ -197,9 +197,13 @@ def test_term_round_trip_all_small_shapes():
 
 
 def test_nested_round_trip(ref_tree):
-    doc = ref_tree.to_nested()
-    assert doc["label"] == "a"
-    assert trees.SyntaxTree.from_nested(doc) == ref_tree
+    def leaf(label):
+        return {"label": label, "children": []}
+
+    assert ref_tree.to_nested() == {"label": "a", "children": [
+        {"label": "b", "children": [
+            leaf("c"),
+            {"label": "d", "children": [leaf("e"), leaf("f")]}]}]}
 
 
 def test_degree_word_round_trip(ref_tree):
@@ -289,38 +293,6 @@ def test_default_labels():
     assert labels[27] == "ab"
 
 
-# -- contraction --------------------------------------------------------------
-
-def test_contract_reference(ref_tree):
-    t1 = trees.contract(ref_tree, 1)
-    assert t1.to_term() == "b.(c || d.(e || f))"
-    t2 = trees.contract(t1, 2)
-    assert t2.to_term() == "d.(c || e || f)"
-
-
-def test_contract_splices_in_place():
-    t = trees.parse_process("a.(b || c.(e || f) || d)")
-    assert trees.contract(t, 2).to_term() == "c.(b || e || f || d)"
-
-
-def test_contract_matches_oracle():
-    for n in range(2, 7):
-        for shape in oracles.all_shapes(n):
-            t = trees.parse_process(oracles.to_term(shape))
-            for i, v in enumerate(t.children(1), start=1):
-                got = trees.contract(t, i)
-                want = oracles.contract_shape(shape, v)
-                assert got.degree_word() == oracles.degree_word(want)
-                assert got.size == n - 1
-
-
-def test_contract_errors(ref_tree):
-    with pytest.raises(ValueError):
-        trees.contract(trees.parse_process("a"), 1)
-    with pytest.raises(ValueError):
-        trees.contract(ref_tree, 2)  # root has a single child
-
-
 # -- enumeration --------------------------------------------------------------
 
 def test_enumerate_counts_and_order():
@@ -341,10 +313,7 @@ def test_enumerate_matches_oracle():
 def test_enumerate_limit():
     with pytest.raises(trees.BudgetError):
         next(trees.enumerate_trees(trees.ENUMERATION_LIMIT + 1))
-    assert next(trees.enumerate_trees(13, oracle_limit=13)).size == 13
 
-
-# -- weights ------------------------------------------------------------------
 
 # -- run prefixes and suspension ----------------------------------------------
 
@@ -368,10 +337,6 @@ def test_suspended_view(ref_tree):
     assert view.frontier == (3, 5, 6)
     assert [ref_tree.label(v) for v in view.frontier] == ["c", "e", "f"]
     assert view.root == 4
-
-
-def test_poset(ref_tree):
-    assert trees.tree_to_poset(ref_tree) == [(1, 2), (2, 3), (2, 4), (4, 5), (4, 6)]
 
 
 # -- semantic trees -----------------------------------------------------------
@@ -409,11 +374,21 @@ def test_semantic_budget():
     assert e.value.budget == 100
 
 
-def test_semantic_leftmost_branch(ref_tree):
-    sem = trees.build_semantic_tree(ref_tree)
-    degrees = sem.leftmost_branch_degrees()
-    assert len(degrees) == 6
-    assert degrees[0] == 1 and degrees[-1] == 0
+def test_semantic_leftmost_branch():
+    # the degree sequence is the node degrees along the semantic tree's
+    # leftmost branch, read here off its parent array
+    for n in range(1, 8):
+        for shape in oracles.all_shapes(n):
+            t = trees.parse_process(oracles.to_term(shape))
+            kids: dict[int, list[int]] = {}
+            for v, p in enumerate(trees.build_semantic_tree(t).parents, start=1):
+                kids.setdefault(p, []).append(v)
+            degrees, v = [], 1
+            while v in kids:
+                degrees.append(len(kids[v]))
+                v = kids[v][0]
+            degrees.append(0)
+            assert trees.degree_sequence_of_tree(t) == tuple(degrees), oracles.to_term(shape)
 
 
 def test_semantic_dot_output(ref_tree):
