@@ -17,10 +17,13 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
+from itertools import accumulate
 from pathlib import Path
 
 from mergeruns.cli import run_cli
+from mergeruns.trees import SyntaxTree
 
 CORPUS = Path(__file__).resolve().parent.parent / "tests" / "golden.json"
 
@@ -29,6 +32,46 @@ STAR = "a.(" + " || ".join(f"x{i}" for i in range(15)) + ")"
 WIDE = "r.(a.b || c || d.e.f || g.(h || i) || j)"
 FOREST = "a.b || c.(d || e) || f"
 SPACED = " a\t.\n( b || c.d ) "
+
+
+def _term(degrees: list[int]) -> str:
+    return SyntaxTree.from_degree_word(degrees).to_term()
+
+
+def _wide(n: int) -> list[int]:
+    """Degree word of a root carrying chains of 1, 2, 3, 1, 2, 3, ... nodes."""
+    lengths, left = [], n - 1
+    while left:
+        lengths.append(min(len(lengths) % 3 + 1, left))
+        left -= lengths[-1]
+    return [len(lengths)] + [d for k in lengths for d in [1] * (k - 1) + [0]]
+
+
+def _caterpillar(spine: int) -> list[int]:
+    """Degree word of a spine whose nodes each carry one leaf, placed
+    before and after the next spine node in turn."""
+    head, tail = [], []
+    for k in range(spine - 1):
+        head.append(2)
+        (head if k % 2 else tail).append(0)
+    return head + [1, 0] + tail
+
+
+def _random(n: int, seed: int) -> list[int]:
+    """Degree word of a uniform plane tree with n nodes (cycle lemma)."""
+    steps = [1] * (n - 1) + [-1] * n
+    random.Random(seed).shuffle(steps)
+    sums = list(accumulate(steps))
+    cut = sums.index(min(sums)) + 1
+    degrees, ups = [], 0
+    for s in steps[cut:] + steps[:cut]:
+        if s > 0:
+            ups += 1
+        else:
+            degrees.append(ups)
+            ups = 0
+    return degrees
+
 
 COMMANDS = [
     ["--version"],
@@ -69,6 +112,11 @@ COMMANDS = [
     ["profile", STAR, "--format", "text"],
     ["profile", WIDE, "--oracle"],
     ["profile", FOREST, "--forest", "--format", "json"],
+    ["profile", _term([200] + [0] * 200), "--format", "text"],
+    ["profile", _term(_wide(300)), "--format", "csv"],
+    ["profile", _term(_caterpillar(150)), "--format", "csv"],
+    ["profile", _term([1] * 149 + [0])],
+    ["profile", _term(_random(150, 7)), "--format", "json"],
     # semantic
     ["semantic", REF],
     ["semantic", REF, "--format", "json"],

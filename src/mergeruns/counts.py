@@ -253,23 +253,35 @@ def asymptotic_size(n: int) -> Approx:
     return Approx(val, val / series * 20 / x ** 4, certified=False)
 
 
+# catalan(k) at index k, and ln k at index k per working precision: exact
+# or fixed by the precision, so sharing them across calls changes no result;
+# they grow on demand, so a run of indices computes each entry once
+_CATALANS: list[int] = [0]
+_LOGS: dict[int, list[mp.mpf]] = {}
+
+
 def geometric_mean_width(n: int, precision: int = 80) -> mp.mpf:
     """Geometric mean of run counts over shapes of size n.
 
     Product over k of k^(1 - e_k) where e_k is the expected number of
     subtrees of size k hanging in a uniform shape; exact identity with the
     brute-force geometric mean, evaluated to the given bit precision.
+    e_k = (n + 1 - k) catalan(k) catalan(n - k + 1) / (2 catalan(n)), so
+    the numerators stay integers over one denominator and the weighted sum
+    of logs is one dot product, accumulated exactly and rounded once.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    c = _CATALANS
+    while len(c) <= n:
+        c.append(catalan(len(c)))
     with mp.workprec(precision + 20):
-        cn = catalan(n)
-        total = mp.mpf(0)
-        for k in range(2, n):
-            expected = Fraction((n + 1 - k) * catalan(k) * catalan(n - k + 1), 2 * cn)
-            exponent = 1 - mp.mpf(expected.numerator) / expected.denominator
-            total += exponent * mp.log(k)
-        return mp.exp(total)
+        logs = _LOGS.setdefault(precision + 20, [mp.ninf, mp.mpf(0)])
+        while len(logs) < n:
+            logs.append(mp.log(len(logs)))
+        ln = logs[2:n]
+        weights = ((n + 1 - k) * c[k] * c[n - k + 1] for k in range(2, n))
+        return mp.exp(mp.fsum(ln) - mp.fdot(weights, ln) / (2 * c[n]))
 
 
 def _catalan_weight_bounds(x: mp.mpf) -> tuple[mp.mpf, mp.mpf]:

@@ -126,9 +126,14 @@ def level_profile(t: SyntaxTree, method: str = "fast") -> tuple[int, ...]:
     depth n - 1, equals the complete-run count.  Counting i levels up from
     the deepest one instead, the entry at depth l has i = n - 1 - l.
 
-    method="fast" runs the binomial-convolution pass in O(n^2) big-integer
-    ops; method="oracle" enumerates admissible cuts and adds up their
-    labellings per size, exponential and for cross-checking only.
+    method="fast" runs the binomial-convolution pass.  Its big-integer
+    work is what the merges really need: leaf children cost one small
+    product each (closed form), the first merge at every node is free, and
+    every other merge adds one row per entry of the shorter vector, so a
+    star or a chain costs O(n) products and a uniform shape still grows
+    about 8x per doubling.  method="oracle" enumerates admissible cuts and
+    adds up their labellings per size, exponential and for cross-checking
+    only.
     """
     if method == "oracle":
         out = [0] * t.size
@@ -150,22 +155,46 @@ def _prefix_counts(t: SyntaxTree) -> list[int]:
     interleaved prefix sequences drawing m actions from its children's
     subtrees (two disjoint sequences of lengths i and j interleave in
     binom(i + j, i) ways); prepending 1 shifts in the node itself.
+
+    The merges commute, so they run in the cheapest order.  The L leaf
+    children go first, together: m actions drawn from them form
+    L!/(L - m)! sequences.  The first vector merged into [1] is taken as
+    it is.  Every later merge copies the longer vector (entry 0 of every
+    vector is 1, so that is its row for the shorter vector's entry 0) and
+    adds one row per further entry of the shorter one.  A row's weight
+    other[j] * binom(i + j, j) steps along i by one small multiply and one
+    exact small divide, so each row entry costs one product by the weight,
+    which stays a few machine words while other[j] is small.
     """
     n = t.size
     vecs: list[list[int] | None] = [None] * (n + 1)
     for v in range(n, 0, -1):
-        acc = [1]
+        leaves = 0
+        inner = []
         for c in t.children(v):
-            other = vecs[c]
+            if len(vecs[c]) == 2:  # a leaf's vector is [1, 1]
+                leaves += 1
+            else:
+                inner.append(vecs[c])
             vecs[c] = None  # free as we go, vectors get long
-            merged = [0] * (len(acc) + len(other) - 1)
-            for i, a in enumerate(acc):
-                if not a:
-                    continue
-                for j, b in enumerate(other):
-                    merged[i + j] += a * b * math.comb(i + j, j)
+        acc = [1]
+        for k in range(leaves, 0, -1):
+            acc.append(acc[-1] * k)
+        for other in inner:
+            if len(acc) == 1:
+                acc = other
+                continue
+            if len(acc) < len(other):
+                acc, other = other, acc
+            merged = acc + [0] * (len(other) - 1)
+            for j in range(1, len(other)):
+                w = other[j]  # other[j] * binom(i + j, j), here at i = 0
+                for i, a in enumerate(acc):
+                    merged[i + j] += a * w
+                    w = w * (i + j + 1) // (i + 1)
             acc = merged
-        vecs[v] = [1] + acc
+        acc.insert(0, 1)
+        vecs[v] = acc
     return vecs[1][1:]
 
 

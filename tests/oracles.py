@@ -222,6 +222,35 @@ def prefix_probability_sequential(parents, prefix) -> Fraction:
     return rho
 
 
+def prefix_counts_pairwise(parents) -> list:
+    """Run prefixes per length, entry p counting those of length p + 1.
+
+    The first exact profile route: bottom-up, each child's vector merged
+    into the node's by the full pairwise binomial convolution (two disjoint
+    sequences of lengths i and j interleave in binom(i + j, i) ways), one
+    merge per child in child order.
+    """
+    n = len(parents)
+    kids = [[] for _ in range(n + 1)]
+    for v in range(2, n + 1):
+        kids[parents[v - 1]].append(v)
+    vecs = [None] * (n + 1)
+    for v in range(n, 0, -1):
+        acc = [1]
+        for c in kids[v]:
+            other = vecs[c]
+            vecs[c] = None
+            merged = [0] * (len(acc) + len(other) - 1)
+            for i, a in enumerate(acc):
+                if not a:
+                    continue
+                for j, b in enumerate(other):
+                    merged[i + j] += a * b * math.comb(i + j, j)
+            acc = merged
+        vecs[v] = [1] + acc
+    return vecs[1][1:]
+
+
 # -- the term parser and the tree check, as first written ---------------------
 #
 # The library's parser and SyntaxTree constructor were rewritten for speed;
@@ -460,3 +489,22 @@ def log_constant_partial_sum(terms: int) -> float:
         log_g += float(np.sum(steps))
         lo = hi + 1
     return total
+
+
+def geometric_mean_width_direct(n: int, precision: int = 80):
+    """The geometric mean of run counts over shapes of size n, as first
+    written: every index from scratch, each Catalan number by math.comb,
+    each expected subtree count an exact Fraction, each log recomputed."""
+    import mpmath as mp
+
+    def catalan(m):
+        return math.comb(2 * m - 2, m - 1) // m
+
+    with mp.workprec(precision + 20):
+        cn = catalan(n)
+        total = mp.mpf(0)
+        for k in range(2, n):
+            expected = Fraction((n + 1 - k) * catalan(k) * catalan(n - k + 1), 2 * cn)
+            exponent = 1 - mp.mpf(expected.numerator) / expected.denominator
+            total += exponent * mp.log(k)
+        return mp.exp(total)

@@ -294,6 +294,14 @@ def test_geometric_mean_brute():
             assert abs(g / brute - 1) < mp.mpf(10) ** -25, n
 
 
+def test_geometric_mean_matches_direct_formula():
+    # the grown tables against every index computed from scratch
+    for n in list(range(2, 61)) + [400]:
+        g, want = counts.geometric_mean_width(n), oracles.geometric_mean_width_direct(n)
+        assert mp.nstr(g, 12) == mp.nstr(want, 12), n
+        assert abs(g / want - 1) < mp.mpf(10) ** -20, n
+
+
 def test_geometric_mean_below_arithmetic_mean():
     for n in range(3, 12):
         assert counts.geometric_mean_width(n) < float(counts.mean_width(n))

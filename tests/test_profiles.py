@@ -1,12 +1,14 @@
 """Admissible cuts, level profiles, and the limit shape of the profile."""
 
 import math
+import random
+import time
 
 import mpmath as mp
 import pytest
 
 import oracles
-from mergeruns import counts, profiles, trees
+from mergeruns import counts, profiles, sampling, trees
 
 
 def star(n):
@@ -148,6 +150,81 @@ def test_profile_monotone():
         for t in trees.enumerate_trees(n):
             prof = profiles.level_profile(t)
             assert all(a <= b for a, b in zip(prof, prof[1:]))
+
+
+def parents_of(t):
+    return [t.parent(v) for v in range(1, t.size + 1)]
+
+
+def assert_matches_pairwise(t):
+    got = profiles.level_profile(t)
+    assert list(got) == oracles.prefix_counts_pairwise(parents_of(t)), t.degree_word()
+
+
+def caterpillar(spine, leaf_first):
+    """Spine nodes each carry one leaf; leaf_first(k) puts spine node k's
+    leaf before its spine child, else after it."""
+    head, tail = [], []
+    for k in range(spine - 1):
+        head.append(2)
+        (head if leaf_first(k) else tail).append(0)
+    return trees.SyntaxTree.from_degree_word(head + [1, 0] + tail)
+
+
+def wide(n):
+    """Root carrying chains of 1, 2, 3, 1, 2, 3, ... nodes."""
+    lengths, left = [], n - 1
+    while left:
+        lengths.append(min(len(lengths) % 3 + 1, left))
+        left -= lengths[-1]
+    return trees.SyntaxTree.from_degree_word(
+        [len(lengths)] + [d for k in lengths for d in [1] * (k - 1) + [0]])
+
+
+def test_profile_matches_pairwise_all_small_shapes():
+    for n in range(1, 10):
+        for shape in oracles.all_shapes(n):
+            assert_matches_pairwise(trees.SyntaxTree.from_degree_word(oracles.degree_word(shape)))
+
+
+def test_profile_matches_pairwise_uniform_shapes():
+    sizes = random.Random(7)
+    rng = sampling.Rng(7)
+    for k in range(100):
+        assert_matches_pairwise(sampling.uniform_random_tree(sizes.randint(20, 200), rng.stream(k)))
+
+
+def test_profile_matches_pairwise_structured_shapes():
+    for t in [star(60), path(60), wide(90),
+              caterpillar(40, lambda k: True), caterpillar(40, lambda k: False),
+              caterpillar(41, lambda k: k % 2 == 0),
+              # leaves before, between and after the non-leaf children
+              trees.parse_process("r.(a || b || c.d || e || f.(g || h.i) || j || k)"),
+              trees.parse_process("r.(p.(q || s.t || u) || x || w.v.(k || l) || m || n)"),
+              # the synthetic root of a forest has leaf children
+              trees.parse_process("a || b.c || d || e.(f || g.h) || i", allow_forest=True)]:
+        assert_matches_pairwise(t)
+
+
+def test_profile_closed_forms_at_the_cap():
+    # at the size cap, each well inside the time bound: a star's level l
+    # counts the ordered choices of l of its n - 1 leaves, perm(n - 1, l),
+    # which prof[0] = 1 and the ratio prof[l + 1] / prof[l] = n - 1 - l fix
+    # at every l (math.perm checks a few directly); a chain has one prefix
+    # per length
+    n = profiles.PROFILE_FAST_LIMIT
+    t = star(n)
+    start = time.perf_counter()
+    prof = profiles.level_profile(t)
+    assert time.perf_counter() - start < 2.0
+    assert prof[0] == 1 and len(prof) == n
+    assert all(prof[l] * (n - 1 - l) == prof[l + 1] for l in range(n - 1))
+    assert all(prof[l] == math.perm(n - 1, l) for l in (1, 2, 17, 1000, n - 2, n - 1))
+    t = path(n)
+    start = time.perf_counter()
+    prof = profiles.level_profile(t)
+    assert time.perf_counter() - start < 2.0
+    assert prof == (1,) * n
 
 
 def test_profile_sums_match_level_means():
