@@ -106,6 +106,11 @@ COMMANDS = [
     ["sample", REF, "--samples", "4", "--seed", "5", "--format", "json", "--freq"],
     ["sample", FOREST, "--forest", "--samples", "5"],
     ["sample", REF, "--samples", "0"],
+    ["sample", _term(_random(150, 11)), "--samples", "20", "--seed", "9"],
+    ["sample", _term(_wide(300)), "--samples", "5", "--seed", "4", "--freq"],
+    ["sample", _term(_caterpillar(150)), "--samples", "3", "--format", "json"],
+    ["sample", _term([200] + [0] * 200), "--samples", "10", "--seed", "12"],
+    ["sample", "a.b", "--samples", "1000000000000"],
     # profile
     ["profile", REF],
     ["profile", REF, "--format", "json"],
@@ -134,6 +139,9 @@ COMMANDS = [
     ["gen", "--size", "9", "--seed", "4", "--format", "json"],
     ["gen", "--size", "7", "--format", "dot"],
     ["gen", "--size", "0"],
+    ["gen", "--size", "300", "--seed", "8", "--count", "5"],
+    ["gen", "--size", "120", "--seed", "3", "--count", "3", "--format", "json"],
+    ["gen", "--size", "1000000000"],
     ["selftest"],
 ]
 

@@ -212,25 +212,35 @@ def _cmd_prob(args) -> int:
     return 0
 
 
-def _run_tokens(t: trees.SyntaxTree, run) -> str:
-    return " ".join(f"{t.label(v)}#{v}" for v in run)
+def _check_sampling_steps(steps: int, what: str) -> None:
+    """Refuse a sampling command before its first draw when its predicted
+    steps exceed trees.SAMPLING_STEP_BUDGET."""
+    limit = trees.SAMPLING_STEP_BUDGET
+    if steps > limit:
+        raise trees.BudgetError(
+            f"{what} predicts {steps} sampling steps, over the limit of {limit}", steps, limit)
 
 
 def _cmd_sample(args) -> int:
     t = _parse_term(args)
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
+    n = t.size
+    # a run of a lone root still costs a step
+    _check_sampling_steps(args.samples * max(n - 1, 1), f"--samples {args.samples} on a {n}-action term")
     rng = sampling.Rng(args.seed)
     runs = [sampling.sample_run(t, rng) for _ in range(args.samples)]
-    freq = Counter(_run_tokens(t, run) for run in runs) if args.freq else None
+    # the label#id token of every node, indexed by node id
+    tokens = [""] + [f"{label}#{v}" for v, label in enumerate(t.labels, start=1)]
+    lines = [" ".join([tokens[v] for v in run]) for run in runs]
+    freq = Counter(lines) if args.freq else None
     if args.format == "json":
         sizes = t.subtree_sizes()
-        n = t.size
         payload = []
         for run in runs:
             ratios = [Fraction(sizes[v - 1], n - k) for k, v in enumerate(run)]
             payload.append({
-                "actions": [f"{t.label(v)}#{v}" for v in run],
+                "actions": [tokens[v] for v in run],
                 "step_probabilities": [[q.numerator, q.denominator] for q in ratios],
             })
         doc = {"seed": args.seed, "runs": payload}
@@ -238,8 +248,8 @@ def _cmd_sample(args) -> int:
             doc["frequency"] = freq  # sort_keys orders it
         print(json.dumps(doc, sort_keys=True))
         return 0
-    for run in runs:
-        print(_run_tokens(t, run))
+    for line in lines:
+        print(line)
     if freq is not None:
         for key in sorted(freq):
             print(f"freq {freq[key]} {key}")
@@ -355,8 +365,11 @@ def _cmd_seq(args) -> int:
 def _cmd_gen(args) -> int:
     if args.count < 1:
         raise ValueError("--count must be at least 1")
+    _check_sampling_steps(args.count * args.size, f"--count {args.count} at --size {args.size}")
     rng = sampling.Rng(args.seed)
-    out = [sampling.uniform_random_tree(args.size, rng) for _ in range(args.count)]
+    # a tuple, so every tree shares it instead of copying a list
+    labels = tuple(trees.default_labels(args.size))
+    out = [sampling.uniform_random_tree(args.size, rng, labels) for _ in range(args.count)]
     if args.format == "json":
         print(json.dumps({"seed": args.seed,
                           "trees": [t.to_nested() for t in out]}, sort_keys=True))

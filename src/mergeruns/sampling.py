@@ -218,27 +218,65 @@ def count_runs_via_probability(t: SyntaxTree) -> int:
 def sample_run(t: SyntaxTree, rng: Rng) -> tuple[int, ...]:
     """One complete run of t, uniform over all its runs.
 
-    A fresh weighted multiset (one partial-sum tree spanning all node ids,
-    disabled ids at weight 0) holds the enabled actions at their subtree
-    sizes.  The root is appended outright since it is forced, and its
-    children enabled; each of the n - 1 later rounds samples an enabled
-    action with probability weight/total, zeroes it and enables its
-    children.  Before the p-th action is chosen the total pending weight is
-    always n - p + 1.
+    A weighted multiset over all node ids holds the enabled actions at
+    their subtree sizes, disabled ids at weight 0.  The root is appended
+    outright since it is forced, and its children enabled; each of the
+    n - 1 later rounds draws an enabled action with probability
+    weight/total, zeroes it and enables its children.  Before the p-th
+    action is chosen the total pending weight is always n - p + 1.
+
+    The multiset is PartialSumTree's heap written out inline: id v sits in
+    slot v - 1, the children of slot i are 2i + 1 and 2i + 2,
+    ``weights[i]`` is the slot's own weight and ``below[i]`` its subtree's
+    sum.  A draw x = rng.uniform_int(total) descends through the left
+    subtree, then the slot, then the right subtree, and every weight change
+    walks one root path, exactly as PartialSumTree.sample and .update do,
+    so the runs and the generator's state afterwards equal those of the
+    same procedure on a PartialSumTree.  It is inlined because a run
+    would otherwise build one tree object and make a method call per heap
+    level, which cost about half the sampler's time.
     """
     sizes = t.subtree_sizes()
+    kids = t._child_table()
     n = t.size
-    # complete layout over all n ids up front; ids not yet enabled sit at 0
-    pst = PartialSumTree((v, 0) for v in range(1, n + 1))
+    draw = rng.uniform_int
+    weights = [0] * n
+    below = [0] * n
     run = [1]  # the root is the only enabled action, no randomness spent
-    for c in t.children(1):
-        pst.update(c, sizes[c - 1])
+    v = 1
     for p in range(2, n + 1):
-        assert pst.total_weight == n - p + 1
-        v = pst.sample(rng)
-        pst.update(v, 0)
-        for c in t.children(v):
-            pst.update(c, sizes[c - 1])
+        for c in kids[v - 1]:  # enable the children of the last action
+            i = c - 1
+            w = sizes[i]
+            weights[i] = w
+            below[i] += w
+            while i:
+                i = (i - 1) >> 1
+                below[i] += w
+        total = below[0]
+        assert total == n - p + 1
+        x = draw(total)
+        i = 0
+        while True:
+            left = 2 * i + 1
+            if left < n:
+                b = below[left]
+                if x <= b:
+                    i = left
+                    continue
+                x -= b
+            w = weights[i]
+            if x <= w:
+                break
+            x -= w
+            i = left + 1
+        # retire the drawn action
+        weights[i] = 0
+        v = i + 1
+        below[i] -= w
+        while i:
+            i = (i - 1) >> 1
+            below[i] -= w
         run.append(v)
     return tuple(run)
 

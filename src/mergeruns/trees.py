@@ -16,6 +16,11 @@ from typing import Iterator, Sequence
 
 ENUMERATION_LIMIT = 12
 SEMANTIC_NODE_BUDGET = 10 ** 6
+# most sampling steps one `sample` or `gen` command may take: runs times
+# actions drawn per run, or shapes times nodes per shape.  Every run and
+# shape is held until printed: 10^6 steps took 3-5 s and 50-300 MB on a
+# 2-core x86_64 (gen the most), so the limit is under a minute and a few GB.
+SAMPLING_STEP_BUDGET = 10 ** 7
 FOREST_ROOT_LABEL = "#root"
 
 

@@ -2,7 +2,10 @@
 
 Everything here works on plain nested tuples (a shape is a tuple of child
 shapes), parent arrays or term text, and never calls into the package, so agreement between these
-routines and the library is a genuine cross-check, not a tautology.
+routines and the library is a genuine cross-check, not a tautology.  The one
+exception is sample_run_pst, the run sampler as first written on the
+package's PartialSumTree: a draw-for-draw reference for the inlined heap of
+sampling.sample_run, not an independent oracle.
 """
 
 import math
@@ -462,6 +465,29 @@ def naive_sample(entries, rng):
     for k, w in entries:
         flat.extend([k] * w)
     return flat[rng.uniform_int(total) - 1]
+
+
+def sample_run_pst(t, rng) -> tuple:
+    """One uniform complete run of the SyntaxTree t, drawn through
+    sampling.PartialSumTree's methods (the route sampling.sample_run
+    inlines; both spend the same draws on the same bounds)."""
+    from mergeruns import sampling
+
+    sizes = t.subtree_sizes()
+    n = t.size
+    # complete layout over all n ids up front; ids not yet enabled sit at 0
+    pst = sampling.PartialSumTree((v, 0) for v in range(1, n + 1))
+    run = [1]  # the root is the only enabled action, no randomness spent
+    for c in t.children(1):
+        pst.update(c, sizes[c - 1])
+    for p in range(2, n + 1):
+        assert pst.total_weight == n - p + 1
+        v = pst.sample(rng)
+        pst.update(v, 0)
+        for c in t.children(v):
+            pst.update(c, sizes[c - 1])
+        run.append(v)
+    return tuple(run)
 
 
 def log_constant_partial_sum(terms: int) -> float:

@@ -11,7 +11,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
-from mergeruns import cli, counts, sampling
+from mergeruns import cli, counts, sampling, trees
 
 TERM = "a.b.(c || d.(e || f))"
 
@@ -189,6 +189,38 @@ def test_sample_rejects_bad_count(capsys):
     assert code == 1 and "at least 1" in err
 
 
+STEP_BUDGET = trees.SAMPLING_STEP_BUDGET
+
+
+@pytest.mark.parametrize("argv, steps", [
+    (["sample", "a.b", "--samples", str(10 ** 12)], 10 ** 12),
+    (["sample", TERM, "--samples", str(STEP_BUDGET // 5 + 1)], 5 * (STEP_BUDGET // 5 + 1)),
+    (["sample", "a", "--samples", str(STEP_BUDGET + 1)], STEP_BUDGET + 1),  # one step a run
+    (["gen", "--size", str(10 ** 9)], 10 ** 9),
+    (["gen", "--size", "1000", "--count", str(STEP_BUDGET // 1000 + 1)],
+     1000 * (STEP_BUDGET // 1000 + 1)),
+])
+def test_sampling_budget_refuses_before_drawing(capsys, monkeypatch, argv, steps):
+    def no_draws(*args):
+        raise AssertionError("drew before refusing")
+
+    monkeypatch.setattr(sampling.Rng, "__init__", no_draws)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and not out
+    assert "budget exceeded" in err
+    assert f"predicts {steps} sampling steps" in err
+    assert f"limit of {STEP_BUDGET}" in err
+
+
+def test_sampling_budget_bounds_steps_not_commands(capsys, monkeypatch):
+    monkeypatch.setattr(trees, "SAMPLING_STEP_BUDGET", 50)
+    # 10 runs of 5 draws, and 10 shapes of 5 nodes, are exactly at the limit
+    assert run(capsys, "sample", TERM, "--samples", "10")[0] == 0
+    assert run(capsys, "sample", TERM, "--samples", "11")[0] == 2
+    assert run(capsys, "gen", "--size", "5", "--count", "10")[0] == 0
+    assert run(capsys, "gen", "--size", "5", "--count", "11")[0] == 2
+
+
 @pytest.mark.parametrize("argv", [["sample", TERM], ["gen", "--size", "5"]])
 def test_negative_seed_exits_1(capsys, argv):
     code, out, err = run(capsys, *argv, "--seed", "-3")
@@ -334,7 +366,6 @@ def test_seq_unknown_name(capsys):
 # -- gen ------------------------------------------------------------------------------
 
 def test_gen_term_output(capsys):
-    from mergeruns import trees
     code, out, _ = run(capsys, "gen", "--size", "8", "--seed", "4", "--count", "3")
     terms = out.splitlines()
     assert len(terms) == 3

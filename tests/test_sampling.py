@@ -336,6 +336,20 @@ def test_sample_run_is_always_a_run():
 
 
 @pytest.fixture
+def bound_log(monkeypatch):
+    """The bound of every Rng.uniform_int call, in call order."""
+    log = []
+    real = sampling.Rng.uniform_int
+
+    def spy(self, upper):
+        log.append(upper)
+        return real(self, upper)
+
+    monkeypatch.setattr(sampling.Rng, "uniform_int", spy)
+    return log
+
+
+@pytest.fixture
 def draw_log(monkeypatch):
     """(total weight, nonzero weights) at every partial-sum tree draw that
     sampling makes, in draw order."""
@@ -352,20 +366,64 @@ def draw_log(monkeypatch):
     return log
 
 
-def test_sample_run_observer_invariant(ref_tree, draw_log):
-    run = sampling.sample_run(ref_tree, sampling.Rng(23))
-    # the root (step 1) is forced and taken without a draw; steps 2..6 draw
-    assert run[0] == 1 and len(draw_log) == 5
-    for p, (total, enabled) in enumerate(draw_log, start=2):
-        assert total == 6 - p + 1
-        assert 1 <= enabled <= total
+def test_sample_run_observer_invariant(ref_tree, bound_log):
+    for t in (ref_tree, sampling.uniform_random_tree(40, sampling.Rng(3))):
+        bound_log.clear()
+        n = t.size
+        run = sampling.sample_run(t, sampling.Rng(23))
+        # the root (step 1) is forced and taken without a draw; steps 2..n
+        # draw once each, among the n - p + 1 pending actions
+        assert run[0] == 1 and len(bound_log) == n - 1
+        for p, total in enumerate(bound_log, start=2):
+            assert total == n - p + 1
 
 
 def test_sample_run_observer_matches_suspension(ref_tree, draw_log):
-    run = sampling.sample_run(ref_tree, sampling.Rng(29))
+    # sample_run inlines the partial-sum tree, so the spy watches the
+    # PartialSumTree route, which the test_sample_run_matches_partial_sum_tree
+    # tests hold to sample_run draw for draw
+    run = oracles.sample_run_pst(ref_tree, sampling.Rng(29))
+    assert len(draw_log) == 5
     for p, (total, enabled) in enumerate(draw_log, start=2):
+        assert total == 6 - p + 1
+        assert 1 <= enabled <= total
         view = trees.suspended_view(ref_tree, run[:p - 1])
         assert enabled == len(view.frontier)
+
+
+def _same_draws(t, seed, runs):
+    """sample_run and the PartialSumTree route give equal runs from equal
+    seeds and leave their generators in equal states."""
+    fast, ref = sampling.Rng(seed), sampling.Rng(seed)
+    for _ in range(runs):
+        assert sampling.sample_run(t, fast) == oracles.sample_run_pst(t, ref)
+    assert fast._r.getstate() == ref._r.getstate()
+
+
+def test_sample_run_matches_partial_sum_tree_small():
+    for n in range(1, 8):
+        for t in trees.enumerate_trees(n):
+            for seed in (0, 5, 2024):
+                _same_draws(t, seed, 3)
+
+
+def test_sample_run_matches_partial_sum_tree_shapes():
+    caterpillar = [2, 0] * 99 + [1, 0]
+    wide = [100] + [d for k in range(100) for d in [1] * (k % 3) + [0]]
+    named = [
+        trees.parse_process("a.b || c.(d || e) || f", allow_forest=True),
+        trees.SyntaxTree.from_degree_word([300] + [0] * 300),  # star
+        trees.SyntaxTree.from_degree_word([1] * 299 + [0]),  # chain
+        trees.SyntaxTree.from_degree_word(caterpillar),
+        trees.SyntaxTree.from_degree_word(wide),
+    ]
+    for t in named:
+        for seed in (1, 77):
+            _same_draws(t, seed, 4)
+    rng = sampling.Rng(8)
+    for n in (9, 30, 120, 500, 3000):
+        t = sampling.uniform_random_tree(n, rng)
+        _same_draws(t, n, 2)
 
 
 def test_sampled_run_probability_is_uniform():
