@@ -122,6 +122,11 @@ COMMANDS = [
     ["profile", _term(_caterpillar(150)), "--format", "csv"],
     ["profile", _term([1] * 149 + [0])],
     ["profile", _term(_random(150, 7)), "--format", "json"],
+    # the largest values of the log10 column (options first, so that their
+    # test ids, which keep 60 characters, differ from the entries above)
+    ["profile", "--format", "json", _term([600] + [0] * 600)],
+    ["profile", "--format", "json", _term(_random(1000, 13))],
+    ["profile", "--format", "json", _term(_wide(400))],
     # semantic
     ["semantic", REF],
     ["semantic", REF, "--format", "json"],

@@ -22,8 +22,6 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
-import mpmath as mp
-
 from . import __version__
 from . import counts, profiles, sampling, trees
 
@@ -122,13 +120,9 @@ def _fmt_count(x: int) -> str:
     return f"{s} (~{Decimal(s):.6e})"
 
 
-def _fmt_fraction(q: Fraction) -> str:
-    return str(q.numerator) if q.denominator == 1 else f"{q.numerator}/{q.denominator}"
-
-
 def _log10(x: int) -> float:
-    # float(x) overflows beyond 1e308; mpf carries any magnitude
-    return float(mp.log10(mp.mpf(x)))
+    # math.log10 takes an int of any size, where float(x) overflows
+    return math.log10(x)
 
 
 def _sig_digits(x: Fraction | mp.mpf, digits: int) -> str:
@@ -140,6 +134,7 @@ def _sig_digits(x: Fraction | mp.mpf, digits: int) -> str:
     f = float(x)
     if sys.float_info.min <= abs(f) < math.inf:
         return f"{f:.{digits}g}"
+    import mpmath as mp
     with mp.workdps(digits + 10):
         if isinstance(x, Fraction):
             x = mp.mpf(x.numerator) / x.denominator
@@ -208,7 +203,7 @@ def _cmd_prob(args) -> int:
         print(f'{{"approx": {literal}, "prefix": {json.dumps(sigma)}, '
               f'"probability": [{rho.numerator}, {rho.denominator}]}}')
     else:
-        print(f"{_fmt_fraction(rho)} (~{_sig_digits(rho, 6)})")
+        print(f"{rho} (~{_sig_digits(rho, 6)})")  # a Fraction prints as p/q, or p when q is 1
     return 0
 
 
@@ -229,30 +224,32 @@ def _cmd_sample(args) -> int:
     # a run of a lone root still costs a step
     _check_sampling_steps(args.samples * max(n - 1, 1), f"--samples {args.samples} on a {n}-action term")
     rng = sampling.Rng(args.seed)
-    runs = [sampling.sample_run(t, rng) for _ in range(args.samples)]
+    draws = (sampling.sample_run(t, rng) for _ in range(args.samples))
     # the label#id token of every node, indexed by node id
     tokens = [""] + [f"{label}#{v}" for v, label in enumerate(t.labels, start=1)]
-    lines = [" ".join([tokens[v] for v in run]) for run in runs]
-    freq = Counter(lines) if args.freq else None
     if args.format == "json":
         sizes = t.subtree_sizes()
         payload = []
-        for run in runs:
+        for run in draws:
             ratios = [Fraction(sizes[v - 1], n - k) for k, v in enumerate(run)]
             payload.append({
                 "actions": [tokens[v] for v in run],
                 "step_probabilities": [[q.numerator, q.denominator] for q in ratios],
             })
         doc = {"seed": args.seed, "runs": payload}
-        if freq is not None:
-            doc["frequency"] = freq  # sort_keys orders it
+        if args.freq:  # sort_keys orders it
+            doc["frequency"] = Counter(" ".join(p["actions"]) for p in payload)
         print(json.dumps(doc, sort_keys=True))
         return 0
-    for line in lines:
+    # each run is printed as it is drawn; only the --freq tally is kept
+    freq = Counter()
+    for run in draws:
+        line = " ".join([tokens[v] for v in run])
         print(line)
-    if freq is not None:
-        for key in sorted(freq):
-            print(f"freq {freq[key]} {key}")
+        if args.freq:
+            freq[line] += 1
+    for key in sorted(freq):
+        print(f"freq {freq[key]} {key}")
     return 0
 
 
@@ -324,6 +321,7 @@ def _seq_ratio(name: str, n: int, value) -> float | None:
         est = counts.asymptotic_size(n)
     else:
         return None
+    import mpmath as mp
     exact = mp.mpf(value.numerator) / value.denominator
     return float(exact / mp.mpf(est.value))
 

@@ -12,12 +12,9 @@ skipped otherwise; results are identical either way.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Sequence
-
-import mpmath as mp
+from typing import Iterable, NamedTuple, Sequence
 
 try:
     from gmpy2 import mpz
@@ -27,8 +24,7 @@ except ImportError:  # pragma: no cover - exercised only without gmpy2
 from .trees import SyntaxTree
 
 
-@dataclass(frozen=True)
-class Approx:
+class Approx(NamedTuple):
     """An estimate with an absolute error bound, both mpmath numbers.
 
     certified=True means the bound is proven (interval reasoning), otherwise
@@ -41,9 +37,11 @@ class Approx:
     certified: bool = False
 
     def __contains__(self, x) -> bool:
+        import mpmath as mp
         return abs(mp.mpmathify(x) - self.value) <= self.abs_error
 
     def __str__(self) -> str:
+        import mpmath as mp
         tag = "+-" if self.certified else "~"
         return f"{mp.nstr(self.value, 12)} ({tag}{mp.nstr(self.abs_error, 3)})"
 
@@ -169,6 +167,7 @@ def mean_width_asymptotic(n: int) -> Approx:
     """Stirling estimate 2 sqrt(2 pi n) (n / 2e)^n of the average run count."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    import mpmath as mp
     x = mp.mpf(n)
     val = 2 * mp.sqrt(2 * mp.pi * x) * (x / (2 * mp.e)) ** x
     # Stirling underestimates by the factor exp(theta/12n), theta in (0, 1),
@@ -246,6 +245,7 @@ def asymptotic_size(n: int) -> Approx:
     """Third-order asymptotic for the average computation-tree size."""
     if n < 1:
         raise ValueError("n must be at least 1")
+    import mpmath as mp
     x = mp.mpf(n)
     series = 2 + mp.mpf(2) / (3 * x) + mp.mpf(49) / (36 * x ** 2) + mp.mpf(27449) / (6480 * x ** 3)
     val = mp.e * mp.sqrt(2 * mp.pi * x) * (x / (2 * mp.e)) ** x * series
@@ -272,6 +272,7 @@ def geometric_mean_width(n: int, precision: int = 80) -> mp.mpf:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    import mpmath as mp
     c = _CATALANS
     while len(c) <= n:
         c.append(catalan(len(c)))
@@ -290,6 +291,7 @@ def _catalan_weight_bounds(x: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
     Uses two-sided central binomial bounds 4^m/sqrt(pi (m + 1/3)) <
     binom(2m, m) <= 4^m/sqrt(pi (m + 1/4)) with m = x - 1.
     """
+    import mpmath as mp
     lo = mp.log(x) / (4 * x * mp.sqrt(mp.pi * (x - mp.mpf(2) / 3)))
     hi = mp.log(x) / (4 * x * mp.sqrt(mp.pi * (x - mp.mpf(3) / 4)))
     return lo, hi
@@ -305,6 +307,7 @@ def log_constant_L(target_abs_error: float = 1e-6) -> Approx:
     """
     if target_abs_error < 1e-7:
         raise ValueError("target_abs_error below 1e-7 is not supported")
+    import mpmath as mp
     with mp.workprec(200):
         head = mp.mpf(0)
         g = mp.mpf(1) / 16  # the n = 2 weight C_2 4^(-2)

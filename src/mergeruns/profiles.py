@@ -10,7 +10,7 @@ without building it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .counts import hook_count
 from .trees import BudgetError, SyntaxTree
@@ -19,8 +19,7 @@ CUT_ENUMERATION_LIMIT = 18
 PROFILE_FAST_LIMIT = 5000
 
 
-@dataclass(frozen=True)
-class AdmissibleCut:
+class AdmissibleCut(NamedTuple):
     """What is left of the syntax tree after recursively removing leaves.
 
     Equivalently a root-containing, parent-closed node set.  shape is the

@@ -11,8 +11,7 @@ encoding, and exhaustive enumeration.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 ENUMERATION_LIMIT = 12
 SEMANTIC_NODE_BUDGET = 10 ** 6
@@ -581,8 +580,7 @@ def validate_run_prefix(t: SyntaxTree, sigma: Sequence[int]) -> tuple[int, ...]:
     return sigma
 
 
-@dataclass(frozen=True)
-class SuspendedView:
+class SuspendedView(NamedTuple):
     """What remains of a tree after consuming a run prefix."""
 
     source: SyntaxTree

@@ -1,17 +1,20 @@
 """Command line behaviour: formats, determinism, exit codes."""
 
+import contextlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tracemalloc
 from decimal import Decimal
 from pathlib import Path
 
 import mpmath as mp
 import pytest
 
-from mergeruns import cli, counts, sampling, trees
+from mergeruns import cli, counts, profiles, sampling, trees
 
 TERM = "a.b.(c || d.(e || f))"
 
@@ -253,6 +256,26 @@ def test_profile_json_log10(capsys):
     assert doc["log10"][-1] == pytest.approx(0.90309, abs=1e-5)
 
 
+def _mp_log10(c: int) -> float:
+    return float(mp.log10(mp.mpf(c)))
+
+
+def test_profile_log10_matches_mpmath_on_profile_levels():
+    # the json column is rounded to 6 places; the two routes may differ by
+    # an ulp, never by a printed digit
+    rng = sampling.Rng(4242)
+    for n in range(10, 301, 3):
+        for c in profiles.level_profile(sampling.uniform_random_tree(n, rng)):
+            assert round(cli._log10(c), 6) == round(_mp_log10(c), 6), (n, c)
+
+
+def test_profile_log10_matches_mpmath_on_random_ints():
+    r = random.Random(77)
+    for _ in range(20_000):
+        c = r.getrandbits(r.randint(1, 60_000)) or 1
+        assert round(cli._log10(c), 6) == round(_mp_log10(c), 6), c.bit_length()
+
+
 # -- semantic -----------------------------------------------------------------------
 
 def test_semantic_dot_default(capsys):
@@ -472,14 +495,57 @@ def test_module_entry_points():
         assert proc.stdout.splitlines()[0] == "2"
 
 
+# every command that computes without mpmath, one of each
+LIGHT_COMMANDS = [
+    ["count", TERM],
+    ["prob", TERM, "--prefix", "a,b,d"],
+    ["sample", TERM, "--samples", "5"],
+    ["gen", "--size", "9"],
+    ["semantic", TERM],
+    ["profile", TERM, "--format", "json"],
+    ["seq", "catalan", "--to", "12"],
+    ["selftest"],
+]
+
+GUARD_SCRIPT = """
+import contextlib, io, json, sys
+from mergeruns import cli
+heavy = ("mpmath", "dataclasses", "inspect", "numpy")
+loaded = {"import": [m for m in heavy if m in sys.modules]}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run_cli(argv) == 0, argv
+    loaded[" ".join(argv)] = [m for m in heavy if m in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
 def test_cli_import_leaves_numpy_out():
-    # a fresh interpreter: start-up must not pay for numpy
+    # a fresh interpreter: start-up and the commands that do not compute
+    # with mpmath must not pay for it, nor for dataclasses (which imports
+    # inspect) or numpy; seq mean_width is the lazy route that loads mpmath
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    mean_width = ["seq", "mean_width", "--to", "5"]
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, mergeruns.cli; print('numpy' in sys.modules)"],
+        [sys.executable, "-c", GUARD_SCRIPT, json.dumps(LIGHT_COMMANDS + [mean_width])],
         capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    loaded = json.loads(proc.stdout)
+    assert loaded.pop(" ".join(mean_width)) == ["mpmath"]
+    assert loaded == {"import": [], **{" ".join(argv): [] for argv in LIGHT_COMMANDS}}
+
+
+def test_sample_text_prints_as_it_draws():
+    # without --freq no run is held: the peak does not grow with --samples
+    tracemalloc.start()
+    try:
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            code = cli.run_cli(["sample", "a.b", "--samples", "200000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * 2 ** 20, peak

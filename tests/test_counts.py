@@ -397,3 +397,11 @@ def test_approx_contains_and_str():
     assert 1.2 in a and 0.8 in a and 2.0 not in a
     assert "+-" in str(a)
     assert "~" in str(counts.Approx(1.0, 0.25))
+
+
+def test_approx_is_immutable_and_keeps_its_repr():
+    a = counts.Approx(mp.mpf(1), mp.mpf("0.25"), certified=True)
+    with pytest.raises(AttributeError):
+        a.value = mp.mpf(2)
+    assert repr(a) == "Approx(value=mpf('1.0'), abs_error=mpf('0.25'), certified=True)"
+    assert counts.Approx(1.0, 0.25).certified is False

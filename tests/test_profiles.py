@@ -27,6 +27,14 @@ def test_cut_count_reference(ref_tree):
     assert len(profiles.enumerate_admissible_cuts(ref_tree)) == 11
 
 
+def test_admissible_cut_is_immutable_and_keeps_its_repr(ref_tree):
+    cut = profiles.enumerate_admissible_cuts(ref_tree)[-1]
+    with pytest.raises(AttributeError):
+        cut.labellings = 2
+    assert repr(cut) == "AdmissibleCut(shape=SyntaxTree('a'), nodes=(1,), labellings=1)"
+    assert cut.size == 1
+
+
 def test_cut_count_extremes():
     for n in (2, 5, 9):
         assert profiles.count_admissible_cuts(path(n)) == n + 1

@@ -339,6 +339,14 @@ def test_suspended_view(ref_tree):
     assert view.root == 4
 
 
+def test_suspended_view_is_immutable_and_keeps_its_repr(ref_tree):
+    view = trees.suspended_view(ref_tree, [1, 2])
+    with pytest.raises(AttributeError):
+        view.frontier = ()
+    assert repr(view) == ("SuspendedView(source=SyntaxTree('a.b.(c || d.(e || f))'), "
+                          "prefix=(1, 2), frontier=(3, 4))")
+
+
 # -- semantic trees -----------------------------------------------------------
 
 def test_semantic_reference(ref_tree):
