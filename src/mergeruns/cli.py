@@ -120,11 +120,6 @@ def _fmt_count(x: int) -> str:
     return f"{s} (~{Decimal(s):.6e})"
 
 
-def _log10(x: int) -> float:
-    # math.log10 takes an int of any size, where float(x) overflows
-    return math.log10(x)
-
-
 def _sig_digits(x: Fraction | mp.mpf, digits: int) -> str:
     """x to ``digits`` significant digits.
 
@@ -257,8 +252,9 @@ def _cmd_profile(args) -> int:
     t = _parse_term(args)
     prof = profiles.level_profile(t, method="oracle" if args.oracle else "fast")
     if args.format == "json":
+        # math.log10 takes an int of any size, where float(c) overflows
         print(json.dumps({"levels": list(prof),
-                          "log10": [round(_log10(c), 6) for c in prof]}))
+                          "log10": [round(math.log10(c), 6) for c in prof]}))
     elif args.format == "text":
         for level, c in enumerate(prof):
             print(f"{level} {_fmt_count(c)}")
@@ -367,16 +363,14 @@ def _cmd_gen(args) -> int:
     rng = sampling.Rng(args.seed)
     # a tuple, so every tree shares it instead of copying a list
     labels = tuple(trees.default_labels(args.size))
-    out = [sampling.uniform_random_tree(args.size, rng, labels) for _ in range(args.count)]
+    draws = (sampling.uniform_random_tree(args.size, rng, labels) for _ in range(args.count))
     if args.format == "json":
         print(json.dumps({"seed": args.seed,
-                          "trees": [t.to_nested() for t in out]}, sort_keys=True))
-    elif args.format == "dot":
-        for t in out:
-            print(t.to_dot())
-    else:
-        for t in out:
-            print(t.to_term())
+                          "trees": [t.to_nested() for t in draws]}, sort_keys=True))
+        return 0
+    # each shape is printed as it is drawn
+    for t in draws:
+        print(t.to_dot() if args.format == "dot" else t.to_term())
     return 0
 
 

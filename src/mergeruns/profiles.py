@@ -50,18 +50,18 @@ def count_admissible_cuts(t: SyntaxTree) -> int:
     return 1 + acc[1]
 
 
-def enumerate_admissible_cuts(t: SyntaxTree, size_limit: int = CUT_ENUMERATION_LIMIT) -> list[AdmissibleCut]:
+def enumerate_admissible_cuts(t: SyntaxTree) -> list[AdmissibleCut]:
     """All nonempty admissible cuts, largest first, then shape, then ids.
 
-    Refuses trees above size_limit before doing any work; the refusal
-    carries the exact number of cuts it would have produced.
+    Refuses trees above CUT_ENUMERATION_LIMIT before doing any work; the
+    refusal carries the exact number of cuts it would have produced.
     """
-    if t.size > size_limit:
+    if t.size > CUT_ENUMERATION_LIMIT:
         predicted = count_admissible_cuts(t) - 1
         raise BudgetError(
-            f"tree size {t.size} over the cut enumeration limit {size_limit}; "
+            f"tree size {t.size} over the cut enumeration limit {CUT_ENUMERATION_LIMIT}; "
             f"it has {predicted} nonempty cuts",
-            predicted, size_limit)
+            predicted, CUT_ENUMERATION_LIMIT)
 
     def cuts_of(v: int) -> list[frozenset[int]]:
         # nonempty cuts of the subtree at v; each child independently

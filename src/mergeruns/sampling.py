@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .counts import _ratio
-from .trees import SyntaxTree, default_labels, validate_run_prefix
+from .trees import SyntaxTree, validate_run_prefix
 
 RNG_ALGORITHM = "mt19937"
 
@@ -291,18 +291,11 @@ def uniform_random_tree(n: int, rng: Rng, labels: Sequence[str] | None = None) -
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    if labels is None:
-        labels = default_labels(n)
-    if n == 1:
-        return SyntaxTree.from_degree_word((0,), labels)
-    stars = rng.subset(2 * n - 2, n - 1)
     degrees = [0] * n
-    block = 0  # bars seen so far = index of the current block
-    prev = -1
-    for pos in stars:
-        block += pos - prev - 1
-        degrees[block] += 1
-        prev = pos
+    # the j-th chosen slot at pos has pos - j unchosen ones (bars) before
+    # it, so it adds a child to block pos - j
+    for j, pos in enumerate(rng.subset(2 * n - 2, n - 1)):
+        degrees[pos - j] += 1
     # rotate to the unique valid word: start right after the first minimum
     # of the running sum of (degree - 1)
     best = 0

@@ -16,9 +16,10 @@ from typing import Iterator, NamedTuple, Sequence
 ENUMERATION_LIMIT = 12
 SEMANTIC_NODE_BUDGET = 10 ** 6
 # most sampling steps one `sample` or `gen` command may take: runs times
-# actions drawn per run, or shapes times nodes per shape.  Every run and
-# shape is held until printed: 10^6 steps took 3-5 s and 50-300 MB on a
-# 2-core x86_64 (gen the most), so the limit is under a minute and a few GB.
+# actions drawn per run, or shapes times nodes per shape.  Text output is
+# printed as it is drawn, and 10^6 steps took 2.5-3.5 s and 16 MB on a
+# 2-core x86_64; JSON output holds every run or shape until it prints, and
+# 10^6 steps took 7-12 s and 340-680 MB.
 SAMPLING_STEP_BUDGET = 10 ** 7
 FOREST_ROOT_LABEL = "#root"
 
@@ -93,29 +94,28 @@ class SyntaxTree:
         n = len(degrees)
         if n == 0:
             raise ValueError("empty degree word")
-        if labels is None:
-            labels = default_labels(n)
-        parents = [0] * n
-        stack = [(1, degrees[0])]
-        if degrees[0] < 0:
-            raise ValueError("negative degree at position 1")
-        for v in range(2, n + 1):
-            d = degrees[v - 1]
+        parents = []
+        # one entry per open child slot, holding the slot's parent; the next
+        # node fills the newest slot, and the root fills the one of parent 0
+        slots = [0]
+        for v, d in enumerate(degrees, start=1):
             if d < 0:
                 raise ValueError(f"negative degree at position {v}")
-            while stack and stack[-1][1] == 0:
-                stack.pop()
-            if not stack:
+            if not slots:
                 raise ValueError(f"degree word closes early at position {v}")
-            p, remaining = stack[-1]
-            stack[-1] = (p, remaining - 1)
-            parents[v - 1] = p
-            stack.append((v, d))
-        while stack and stack[-1][1] == 0:
-            stack.pop()
-        if stack:
-            raise ValueError(f"degree word leaves {sum(r for _, r in stack)} unfilled child slots at position {n}")
-        return cls(labels, parents)
+            parents.append(slots.pop())
+            if len(slots) + d > n - v:
+                break
+            slots += [v] * d
+        else:
+            return cls(default_labels(n) if labels is None else labels, parents)
+        # more open slots than nodes left: no later node closes the word, so
+        # the fault is a later negative degree or else the slots left open
+        # (never stored, so a huge degree costs no memory)
+        for w in range(v + 1, n + 1):
+            if degrees[w - 1] < 0:
+                raise ValueError(f"negative degree at position {w}")
+        raise ValueError(f"degree word leaves {sum(degrees) - n + 1} unfilled child slots at position {n}")
 
     # -- basic accessors ---------------------------------------------------
 
@@ -241,8 +241,8 @@ class SyntaxTree:
                        "children": [recs[k] for k in table[v - 1]]}
         return recs[1]
 
-    def to_dot(self, graph_name: str = "syntax_tree") -> str:
-        return _dot(graph_name, self._labels, self._parents)
+    def to_dot(self) -> str:
+        return _dot("syntax_tree", self._labels, self._parents)
 
 
 class SemanticTree:
@@ -299,8 +299,8 @@ class SemanticTree:
                 v = self.parents[v - 1]
             yield tuple(reversed(path))
 
-    def to_dot(self, graph_name: str = "semantic_tree") -> str:
-        return _dot(graph_name, self.labels, self.parents)
+    def to_dot(self) -> str:
+        return _dot("semantic_tree", self.labels, self.parents)
 
 
 def _dot(graph_name: str, labels: Sequence[str], parents: Sequence[int]) -> str:
@@ -490,27 +490,16 @@ def degree_sequence_of_tree(t: SyntaxTree) -> tuple[int, ...]:
 
 
 def tree_from_degree_sequence(u: Sequence[int], labels: Sequence[str] | None = None) -> SyntaxTree:
-    """Inverse of degree_sequence_of_tree; validates and reports the failing index."""
-    u = tuple(u)
-    n = len(u)
-    if n == 0:
-        raise ValueError("empty degree sequence")
-    if n == 1:
-        if u != (0,):
-            raise ValueError("a single-node tree has degree sequence (0,) (index 1)")
-        return SyntaxTree.from_degree_word((0,), labels)
-    if u[0] <= 0:
-        raise ValueError("u_1 must be positive (index 1)")
-    for p in range(1, n):
-        if u[p] < u[p - 1] - 1:
-            raise ValueError(f"u may drop by at most 1 per step (index {p + 1})")
-    for p in range(n - 1):
-        if u[p] == 0:
-            raise ValueError(f"only the final term may be 0 (index {p + 1})")
-    if u[n - 1] != 0:
-        raise ValueError(f"the final term must be 0 (index {n})")
-    degrees = [u[0]] + [u[p] - u[p - 1] + 1 for p in range(1, n)]
-    return SyntaxTree.from_degree_word(degrees, labels)
+    """Inverse of degree_sequence_of_tree.
+
+    u_p is the number of open child slots after the first p nodes, so u is
+    valid exactly when its degree word (u_1, then u_p - u_(p-1) + 1) is,
+    and SyntaxTree.from_degree_word rejects an invalid one: a drop of more
+    than 1 at index p is a negative degree at position p, a 0 at p < n
+    closes the word early at p + 1, and a nonzero end leaves slots unfilled.
+    """
+    u = (1, *u)  # u_0 = 1: before the root, the one slot it fills is open
+    return SyntaxTree.from_degree_word([b - a + 1 for a, b in zip(u, u[1:])], labels)
 
 
 def default_labels(n: int) -> list[str]:

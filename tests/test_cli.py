@@ -266,14 +266,14 @@ def test_profile_log10_matches_mpmath_on_profile_levels():
     rng = sampling.Rng(4242)
     for n in range(10, 301, 3):
         for c in profiles.level_profile(sampling.uniform_random_tree(n, rng)):
-            assert round(cli._log10(c), 6) == round(_mp_log10(c), 6), (n, c)
+            assert round(math.log10(c), 6) == round(_mp_log10(c), 6), (n, c)
 
 
 def test_profile_log10_matches_mpmath_on_random_ints():
     r = random.Random(77)
     for _ in range(20_000):
         c = r.getrandbits(r.randint(1, 60_000)) or 1
-        assert round(cli._log10(c), 6) == round(_mp_log10(c), 6), c.bit_length()
+        assert round(math.log10(c), 6) == round(_mp_log10(c), 6), c.bit_length()
 
 
 # -- semantic -----------------------------------------------------------------------
@@ -538,14 +538,30 @@ def test_cli_import_leaves_numpy_out():
     assert loaded == {"import": [], **{" ".join(argv): [] for argv in LIGHT_COMMANDS}}
 
 
-def test_sample_text_prints_as_it_draws():
-    # without --freq no run is held: the peak does not grow with --samples
+def _traced_peak(argv):
+    """Exit code and tracemalloc peak of one in-process command, stdout dropped."""
     tracemalloc.start()
     try:
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-            code = cli.run_cli(["sample", "a.b", "--samples", "200000"])
-        _, peak = tracemalloc.get_traced_memory()
+            code = cli.run_cli(argv)
+        return code, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_sample_text_prints_as_it_draws():
+    # without --freq no run is held: the peak does not grow with --samples
+    code, peak = _traced_peak(["sample", "a.b", "--samples", "200000"])
     assert code == 0
     assert peak < 2 * 2 ** 20, peak
+
+
+@pytest.mark.parametrize("fmt", ["term", "dot"])
+def test_gen_text_prints_as_it_draws(fmt):
+    # term and dot hold no shape: 16 times the shapes leave the peak as it was
+    argv = ["gen", "--size", "30", "--format", fmt, "--count"]
+    _traced_peak(argv + ["1"])  # first-call imports and caches
+    code_few, few = _traced_peak(argv + ["250"])
+    code_many, many = _traced_peak(argv + ["4000"])
+    assert code_few == code_many == 0
+    assert many < few + 64 * 2 ** 10, (few, many)

@@ -1,6 +1,6 @@
 """Syntax layer: parsing, conversions, enumeration, semantic trees."""
 
-from itertools import product
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import given, settings
@@ -215,11 +215,58 @@ def test_degree_word_round_trip(ref_tree):
     ((2, 0), 2),        # word ends before the tree is complete
     ((1, 0, 0), 3),     # trailing entries after completion
     ((0, 1), 2),
+    ((-1, 0), 1),       # negative degree at the root
+    ((2, 0, -1, 0), 3),  # negative degree further on
+    ((3, 1, 0), 3),     # two child slots left unfilled
+    ((10 ** 12, 0, -1, 0), 3),  # a later negative degree outranks open slots
 ])
 def test_degree_word_errors(word, position):
     with pytest.raises(ValueError) as e:
         trees.SyntaxTree.from_degree_word(word, ["x"] * len(word))
     assert f"position {position}" in str(e.value)
+
+
+@pytest.mark.parametrize("word,open_slots", [((3, 1, 0), 2), ((1, 10 ** 12, 0), 10 ** 12 - 1)])
+def test_degree_word_counts_unfilled_slots(word, open_slots):
+    # slots past the nodes left are counted, not stored: a huge degree
+    # costs no memory
+    with pytest.raises(ValueError, match=f"^degree word leaves {open_slots} unfilled child slots at position 3$"):
+        trees.SyntaxTree.from_degree_word(word)
+
+
+def test_decoders_accept_exactly_the_oracle_shapes():
+    # every word of length n <= 6 over the degrees -1..n: the decoder takes
+    # exactly the oracle's degree words, to the oracle's preorder parents,
+    # and the degree-sequence inverse exactly the u sequences of those words
+    # (u_p = first p degrees summed, minus p - 1)
+    def parents(t):
+        return tuple(t.parent(v) for v in range(1, t.size + 1))
+
+    decode_word, decode_u = trees.SyntaxTree.from_degree_word, trees.tree_from_degree_sequence
+
+    for n in range(1, 7):
+        expected, expected_u = {}, {}
+        for shape in oracles.all_shapes(n):
+            word = oracles.degree_word(shape)
+            nodes = oracles.preorder_labelled(shape)
+            tree = (tuple(nodes[v][0] for v in range(1, n + 1)),
+                    tuple(nodes[v][1] for v in range(1, n + 1)))
+            expected[word] = tree
+            expected_u[tuple(s - p for p, s in enumerate(accumulate(word)))] = tree
+        got, got_u = {}, {}
+        for seq in product(range(-1, n + 1), repeat=n):
+            try:
+                t = decode_word(seq)
+                got[seq] = (t.labels, parents(t))
+            except ValueError:
+                pass
+            try:
+                t = decode_u(seq)
+                got_u[seq] = (t.labels, parents(t))
+            except ValueError:
+                pass
+        assert got == expected, n
+        assert got_u == expected_u, n
 
 
 def test_degree_sequence_round_trip_small():
