@@ -146,6 +146,7 @@ COMMANDS = [
     ["gen", "--size", "0"],
     ["gen", "--size", "300", "--seed", "8", "--count", "5"],
     ["gen", "--size", "120", "--seed", "3", "--count", "3", "--format", "json"],
+    ["gen", "--size", "100000", "--format", "json"],  # 550 levels, over 1000 nested containers
     ["gen", "--size", "1000000000"],
     ["selftest"],
 ]

@@ -211,34 +211,48 @@ def _check_sampling_steps(steps: int, what: str) -> None:
             f"{what} predicts {steps} sampling steps, over the limit of {limit}", steps, limit)
 
 
+def _print_items(head: str, items, tail: str) -> None:
+    """Print head, then the items joined by ", " as each is made, then tail:
+    json.dumps(doc, sort_keys=True) of a document without holding its list."""
+    print(head, end="")
+    for i, item in enumerate(items):
+        print(", " + item if i else item, end="")
+    print(tail)
+
+
 def _cmd_sample(args) -> int:
     t = _parse_term(args)
     if args.samples < 1:
         raise ValueError("--samples must be at least 1")
     n = t.size
-    # a run of a lone root still costs a step
-    _check_sampling_steps(args.samples * max(n - 1, 1), f"--samples {args.samples} on a {n}-action term")
-    rng = sampling.Rng(args.seed)
-    draws = (sampling.sample_run(t, rng) for _ in range(args.samples))
+    # a run of a lone root still costs a step; JSON with --freq draws every run twice
+    passes = 2 if args.freq and args.format == "json" else 1
+    _check_sampling_steps(passes * args.samples * max(n - 1, 1),
+                          f"--samples {args.samples} on a {n}-action term")
+
+    def draws():  # the seeded stream, afresh at each call
+        rng = sampling.Rng(args.seed)
+        return (sampling.sample_run(t, rng) for _ in range(args.samples))
+
     # the label#id token of every node, indexed by node id
     tokens = [""] + [f"{label}#{v}" for v, label in enumerate(t.labels, start=1)]
     if args.format == "json":
         sizes = t.subtree_sizes()
-        payload = []
-        for run in draws:
-            ratios = [Fraction(sizes[v - 1], n - k) for k, v in enumerate(run)]
-            payload.append({
-                "actions": [tokens[v] for v in run],
-                "step_probabilities": [[q.numerator, q.denominator] for q in ratios],
-            })
-        doc = {"seed": args.seed, "runs": payload}
-        if args.freq:  # sort_keys orders it
-            doc["frequency"] = Counter(" ".join(p["actions"]) for p in payload)
-        print(json.dumps(doc, sort_keys=True))
+
+        def record(run) -> str:
+            steps = [Fraction(sizes[v - 1], n - k) for k, v in enumerate(run)]
+            return (f'{{"actions": {json.dumps([tokens[v] for v in run])}, "step_probabilities": '
+                    f'{json.dumps([[q.numerator, q.denominator] for q in steps])}}}')
+
+        head = "{"
+        if args.freq:  # "frequency" sorts before "runs": its tally takes a pass of its own
+            freq = Counter(" ".join([tokens[v] for v in run]) for run in draws())
+            head += f'"frequency": {json.dumps(freq, sort_keys=True)}, '
+        _print_items(head + '"runs": [', map(record, draws()), f'], "seed": {args.seed}}}')
         return 0
     # each run is printed as it is drawn; only the --freq tally is kept
     freq = Counter()
-    for run in draws:
+    for run in draws():
         line = " ".join([tokens[v] for v in run])
         print(line)
         if args.freq:
@@ -365,8 +379,7 @@ def _cmd_gen(args) -> int:
     labels = tuple(trees.default_labels(args.size))
     draws = (sampling.uniform_random_tree(args.size, rng, labels) for _ in range(args.count))
     if args.format == "json":
-        print(json.dumps({"seed": args.seed,
-                          "trees": [t.to_nested() for t in draws]}, sort_keys=True))
+        _print_items(f'{{"seed": {args.seed}, "trees": [', (t.to_json() for t in draws), "]}")
         return 0
     # each shape is printed as it is drawn
     for t in draws:

@@ -10,10 +10,11 @@ without building it.
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from typing import NamedTuple
 
 from .counts import hook_count
-from .trees import BudgetError, SyntaxTree
+from .trees import SEMANTIC_NODE_BUDGET, BudgetError, SyntaxTree
 
 CUT_ENUMERATION_LIMIT = 18
 PROFILE_FAST_LIMIT = 5000
@@ -164,6 +165,10 @@ def _prefix_counts(t: SyntaxTree) -> list[int]:
     other[j] * binom(i + j, j) steps along i by one small multiply and one
     exact small divide, so each row entry costs one product by the weight,
     which stays a few machine words while other[j] is small.
+
+    Vectors are kept reversed between nodes, so shifting in the node is an
+    append and a lone inner child's vector is taken as it is: a chain costs
+    O(n) in all.
     """
     n = t.size
     vecs: list[list[int] | None] = [None] * (n + 1)
@@ -176,10 +181,15 @@ def _prefix_counts(t: SyntaxTree) -> list[int]:
             else:
                 inner.append(vecs[c])
             vecs[c] = None  # free as we go, vectors get long
+        if not leaves and len(inner) == 1:
+            inner[0].append(1)
+            vecs[v] = inner[0]
+            continue
         acc = [1]
         for k in range(leaves, 0, -1):
             acc.append(acc[-1] * k)
         for other in inner:
+            other.reverse()
             if len(acc) == 1:
                 acc = other
                 continue
@@ -192,17 +202,33 @@ def _prefix_counts(t: SyntaxTree) -> list[int]:
                     merged[i + j] += a * w
                     w = w * (i + j + 1) // (i + 1)
             acc = merged
-        acc.insert(0, 1)
+        acc.reverse()
+        acc.append(1)
         vecs[v] = acc
-    return vecs[1][1:]
+    return vecs[1][-2::-1]
 
 
-def semantic_size(t: SyntaxTree) -> int:
+def semantic_size(t: SyntaxTree, node_budget: int = SEMANTIC_NODE_BUDGET) -> int:
     """Exact node count of the computation tree, without building it.
 
-    Same size cap as the fast profile route it sums.
+    Up to PROFILE_FAST_LIMIT nodes it sums the fast profile.  Past it,
+    BudgetError is raised when node_budget is under a lower bound: n, a
+    node per level, or 10^k under the run count n! / prod |T(v)|, a leaf per
+    run.  Otherwise the exact profile follows without the cap, its entries
+    at most the run count (prefixes of one length extend to disjoint runs).
     """
-    return sum(level_profile(t, method="fast"))
+    n = t.size
+    if n <= PROFILE_FAST_LIMIT:
+        return sum(level_profile(t, method="fast"))
+    if n > node_budget:
+        raise BudgetError(f"semantic tree has at least {n} nodes, one per level, over the "
+                          f"budget of {node_budget}", n, node_budget)
+    log_runs = math.lgamma(n + 1) - math.fsum(map(math.log, t.subtree_sizes()))
+    k = max(0, math.floor(log_runs / math.log(10) - 1e-6))  # 10^k stays under despite rounding
+    if Decimal(f"1e{k}") > node_budget:
+        raise BudgetError(f"semantic tree has at least 10^{k} branches, over the budget of "
+                          f"{node_budget} nodes", Decimal(f"1e{k}"), node_budget)
+    return sum(_prefix_counts(t))
 
 
 def limit_profile(c: float, n: int) -> float:

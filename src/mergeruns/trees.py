@@ -11,15 +11,15 @@ encoding, and exhaustive enumeration.
 from __future__ import annotations
 
 import re
+from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterator, NamedTuple, Sequence
 
 ENUMERATION_LIMIT = 12
 SEMANTIC_NODE_BUDGET = 10 ** 6
 # most sampling steps one `sample` or `gen` command may take: runs times
-# actions drawn per run, or shapes times nodes per shape.  Text output is
-# printed as it is drawn, and 10^6 steps took 2.5-3.5 s and 16 MB on a
-# 2-core x86_64; JSON output holds every run or shape until it prints, and
-# 10^6 steps took 7-12 s and 340-680 MB.
+# actions drawn per run, or shapes times nodes per shape.  Every format prints
+# each run or shape as it is drawn, so this bounds time, not memory: 10^6 steps
+# took 2-8 s at 16 MB max RSS on a 2-core x86_64 (`sample` JSON the slowest).
 SAMPLING_STEP_BUDGET = 10 ** 7
 FOREST_ROOT_LABEL = "#root"
 
@@ -33,7 +33,11 @@ class ParseError(ValueError):
 
 
 class BudgetError(RuntimeError):
-    """A construction would exceed its configured size budget."""
+    """A construction would exceed its configured size budget.
+
+    predicted is an int, except for a lower bound given only as its order
+    of magnitude, which is a Decimal power of ten such as Decimal("1e20061").
+    """
 
     def __init__(self, message: str, predicted, budget):
         super().__init__(message)
@@ -197,49 +201,39 @@ class SyntaxTree:
 
     def to_term(self) -> str:
         """Render as a term string parseable by parse_process."""
-        out: list[str] = []
-        table = self._child_table()
-        root_kids = table[0]
-        work: list = []
-        if self._labels[0] == FOREST_ROOT_LABEL:
-            for k in reversed(root_kids):
-                work.append(k)
-                work.append(" || ")
-            if work:
-                work.pop()  # separator only between components
-        else:
-            work = [1]
-        while work:
-            item = work.pop()
-            if isinstance(item, str):
-                out.append(item)
-                continue
-            v = item
-            out.append(self._labels[v - 1])
-            kids = table[v - 1]
-            if not kids:
-                continue
-            if len(kids) == 1:
-                out.append(".")
-                work.append(kids[0])
-            else:
-                out.append(".(")
-                work.append(")")
-                for k in reversed(kids[1:]):
-                    work.append(k)
-                    work.append(" || ")
-                work.append(kids[0])
-        return "".join(out)
+        deg = [0] * (self.size + 1)
+        for p in self._parents:
+            deg[p] += 1
+        heads = [label + (".(" if d > 1 else "." if d else "")
+                 for label, d in zip(("",) + self._labels, deg)]
+        tails = [")" if d > 1 else "" for d in deg]
+        if self._labels[0] == FOREST_ROOT_LABEL:  # components joined by bars alone
+            heads[1] = tails[1] = ""
+        return self._write_nested(heads, tails, " || ")
 
-    def to_nested(self) -> dict:
-        """Nested record form {"label": ..., "children": [...]}."""
-        n = self.size
-        table = self._child_table()
-        recs: list[dict | None] = [None] * (n + 1)
-        for v in range(n, 0, -1):
-            recs[v] = {"label": self._labels[v - 1],
-                       "children": [recs[k] for k in table[v - 1]]}
-        return recs[1]
+    def to_json(self) -> str:
+        """The nested record {"label": ..., "children": [...]} as the text
+        json.dumps(record, sort_keys=True) writes, for a tree of any height."""
+        tails = [f'], "label": {_json_string(label)}}}' for label in ("",) + self._labels]
+        return self._write_nested(['{"children": ['] * len(tails), tails, ", ")
+
+    def _write_nested(self, heads: Sequence[str], tails: Sequence[str], sep: str) -> str:
+        """Each node's head, its subtrees joined by sep, then its tail (both by
+        node id), in one pass: the path from the root to the node last written
+        is popped back to each node's parent, writing the tails of those left."""
+        parents = self._parents
+        out = [heads[1]]
+        path = [1]
+        for v in range(2, len(parents) + 1):
+            p = parents[v - 1]
+            if path[-1] != p:
+                while path[-1] != p:
+                    out.append(tails[path.pop()])
+                out.append(sep)
+            out.append(heads[v])
+            path.append(v)
+        out.extend(tails[v] for v in reversed(path))
+        return "".join(out)
 
     def to_dot(self) -> str:
         return _dot("syntax_tree", self._labels, self._parents)
@@ -440,11 +434,11 @@ def build_semantic_tree(t: SyntaxTree, node_budget: int = SEMANTIC_NODE_BUDGET) 
     The root consumes t's root; every node's children consume, left to right,
     the actions enabled once it is done.  The expansion is refused up front
     when the predicted node count exceeds node_budget, since sizes grow
-    factorially.
+    factorially; past the profile cap, semantic_size refuses on lower bounds.
     """
     from .profiles import semantic_size  # deferred: profiles builds on this module
 
-    predicted = semantic_size(t)
+    predicted = semantic_size(t, node_budget)
     if predicted > node_budget:
         raise BudgetError(
             f"semantic tree has exactly {predicted} nodes, over the budget of {node_budget}",

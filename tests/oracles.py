@@ -85,6 +85,19 @@ def to_term(shape, labels=None) -> str:
     return render(1)
 
 
+def nested_record(shape, labels=None) -> dict:
+    """The nested record {"label": ..., "children": [...]} of a shape, labels
+    given in preorder (spreadsheet names by default): what a tree's JSON
+    output serializes."""
+    nodes = preorder_labelled(shape, labels)
+
+    def record(v):
+        label, _, kids = nodes[v]
+        return {"label": label, "children": [record(k) for k in kids]}
+
+    return record(1)
+
+
 # -- runs by exhaustive interleaving ------------------------------------------
 
 def all_runs(shape) -> list:

@@ -7,7 +7,9 @@ import os
 import random
 import subprocess
 import sys
+import time
 import tracemalloc
+from collections import Counter
 from decimal import Decimal
 from pathlib import Path
 
@@ -187,6 +189,20 @@ def test_sample_json_probabilities(capsys):
         assert den == 8 * num  # every complete run has probability 1/8
 
 
+def test_sample_json_freq_tallies_the_printed_runs(capsys):
+    # the table is tallied on a first pass of the seeded stream; the runs
+    # printed after it replay that stream, so they agree with it and with
+    # the text output of the same seed
+    argv = ["sample", TERM, "--samples", "40", "--seed", "6"]
+    _, text, _ = run(capsys, *argv, "--freq")
+    _, out, _ = run(capsys, *argv, "--freq", "--format", "json")
+    doc = json.loads(out)
+    assert list(doc) == ["frequency", "runs", "seed"]
+    lines = [" ".join(entry["actions"]) for entry in doc["runs"]]
+    assert doc["frequency"] == Counter(lines)
+    assert lines == text.splitlines()[:40]
+
+
 def test_sample_rejects_bad_count(capsys):
     code, _, err = run(capsys, "sample", TERM, "--samples", "0")
     assert code == 1 and "at least 1" in err
@@ -202,6 +218,9 @@ STEP_BUDGET = trees.SAMPLING_STEP_BUDGET
     (["gen", "--size", str(10 ** 9)], 10 ** 9),
     (["gen", "--size", "1000", "--count", str(STEP_BUDGET // 1000 + 1)],
      1000 * (STEP_BUDGET // 1000 + 1)),
+    # JSON with --freq tallies the runs in a pass of its own before printing them
+    (["sample", TERM, "--samples", str(STEP_BUDGET // 10 + 1), "--freq", "--format", "json"],
+     10 * (STEP_BUDGET // 10 + 1)),
 ])
 def test_sampling_budget_refuses_before_drawing(capsys, monkeypatch, argv, steps):
     def no_draws(*args):
@@ -220,6 +239,8 @@ def test_sampling_budget_bounds_steps_not_commands(capsys, monkeypatch):
     # 10 runs of 5 draws, and 10 shapes of 5 nodes, are exactly at the limit
     assert run(capsys, "sample", TERM, "--samples", "10")[0] == 0
     assert run(capsys, "sample", TERM, "--samples", "11")[0] == 2
+    assert run(capsys, "sample", TERM, "--samples", "5", "--freq", "--format", "json")[0] == 0
+    assert run(capsys, "sample", TERM, "--samples", "6", "--freq", "--format", "json")[0] == 2
     assert run(capsys, "gen", "--size", "5", "--count", "10")[0] == 0
     assert run(capsys, "gen", "--size", "5", "--count", "11")[0] == 2
 
@@ -303,6 +324,36 @@ def test_semantic_budget_exit_code(capsys):
     code, _, err = run(capsys, "semantic", wide, "--budget", "1000")
     assert code == 2
     assert "9864101" in err
+
+
+def test_semantic_past_the_profile_cap(capsys):
+    # a 6000-node chain has one branch: its 6000-node tree is within budget
+    chain = ".".join(f"x{i}" for i in range(6000))
+    code, out, _ = run(capsys, "semantic", chain, "--format", "text")
+    assert code == 0
+    assert out.splitlines()[:2] == ["nodes 6000", "branches 1"]
+
+
+def test_semantic_refuses_a_chain_longer_than_its_budget(capsys, tmp_path):
+    # its tree has a node per level: refused on the length, without the profile
+    src = tmp_path / "chain.term"
+    src.write_text(".".join(f"x{i}" for i in range(20000)))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "semantic", "--input", str(src), "--budget", "19999")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out
+    assert "at least 20000 nodes, one per level, over the budget of 19999" in err
+
+
+def test_semantic_refuses_a_wide_term_by_its_run_count(capsys):
+    # 5999! runs: refused on their logarithm, without the exact profile
+    star = "r.(" + " || ".join(f"x{i}" for i in range(5999)) + ")"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "semantic", star)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out
+    # log10(5999!) = 20061.6...
+    assert "at least 10^20061 branches, over the budget of 1000000 nodes" in err
 
 
 # -- seq ------------------------------------------------------------------------------
@@ -549,19 +600,26 @@ def _traced_peak(argv):
         tracemalloc.stop()
 
 
-def test_sample_text_prints_as_it_draws():
-    # without --freq no run is held: the peak does not grow with --samples
-    code, peak = _traced_peak(["sample", "a.b", "--samples", "200000"])
-    assert code == 0
-    assert peak < 2 * 2 ** 20, peak
-
-
-@pytest.mark.parametrize("fmt", ["term", "dot"])
-def test_gen_text_prints_as_it_draws(fmt):
-    # term and dot hold no shape: 16 times the shapes leave the peak as it was
-    argv = ["gen", "--size", "30", "--format", fmt, "--count"]
+def _peak_stays_flat(argv, few, many):
+    """After a warm-up call, argv + [many] peaks at most 64 KB of
+    tracemalloc above argv + [few]: 16 times the draws hold nothing more."""
     _traced_peak(argv + ["1"])  # first-call imports and caches
-    code_few, few = _traced_peak(argv + ["250"])
-    code_many, many = _traced_peak(argv + ["4000"])
+    code_few, peak_few = _traced_peak(argv + [str(few)])
+    code_many, peak_many = _traced_peak(argv + [str(many)])
     assert code_few == code_many == 0
-    assert many < few + 64 * 2 ** 10, (few, many)
+    assert peak_many < peak_few + 64 * 2 ** 10, (peak_few, peak_many)
+
+
+def test_sample_text_prints_as_it_draws():
+    # without --freq no run is held
+    _peak_stays_flat(["sample", "a.b", "--samples"], 500, 8000)
+
+
+def test_sample_json_prints_as_it_draws():
+    _peak_stays_flat(["sample", "a.b", "--format", "json", "--samples"], 500, 8000)
+
+
+@pytest.mark.parametrize("fmt", ["term", "dot", "json"])
+def test_gen_text_prints_as_it_draws(fmt):
+    # no format holds a shape
+    _peak_stays_flat(["gen", "--size", "30", "--format", fmt, "--count"], 250, 4000)

@@ -1,5 +1,7 @@
 """Syntax layer: parsing, conversions, enumeration, semantic trees."""
 
+import json
+import sys
 from itertools import accumulate, product
 
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mergeruns import counts, trees
+from mergeruns import counts, sampling, trees
 
 
 # -- parsing ------------------------------------------------------------------
@@ -200,10 +202,56 @@ def test_nested_round_trip(ref_tree):
     def leaf(label):
         return {"label": label, "children": []}
 
-    assert ref_tree.to_nested() == {"label": "a", "children": [
+    assert json.loads(ref_tree.to_json()) == {"label": "a", "children": [
         {"label": "b", "children": [
             leaf("c"),
             {"label": "d", "children": [leaf("e"), leaf("f")]}]}]}
+
+
+def test_json_is_json_dumps_of_the_nested_record():
+    for n in range(1, 10):
+        for shape in oracles.all_shapes(n):
+            t = trees.SyntaxTree.from_degree_word(oracles.degree_word(shape))
+            assert t.to_json() == json.dumps(oracles.nested_record(shape), sort_keys=True)
+
+
+@pytest.mark.parametrize("shape,term", [
+    ((), ""),
+    (((),), "a"),
+    (((), ((), ())), "a || b.(c || d)"),
+])
+def test_forest_root_writers(shape, term):
+    # the synthetic root is left out of the term, not of the record
+    n = oracles.shape_size(shape)
+    labels = [trees.FOREST_ROOT_LABEL] + trees.default_labels(n - 1)
+    t = trees.SyntaxTree.from_degree_word(oracles.degree_word(shape), labels)
+    assert t.to_term() == term
+    assert t.to_json() == json.dumps(oracles.nested_record(shape, labels), sort_keys=True)
+
+
+def test_writers_need_no_recursion():
+    # a chain taller than the interpreter's recursion limit, and uniform
+    # shapes up to 10^4 nodes read back through the json module
+    n = 3 * sys.getrecursionlimit()
+    chain = trees.SyntaxTree.from_degree_word([1] * (n - 1) + [0])
+    assert chain.to_term() == ".".join(chain.labels)
+    text = chain.to_json()
+    assert text == '{"children": [' * n + "".join(
+        f'], "label": "{label}"}}' for label in reversed(chain.labels))
+    rng = sampling.Rng(17)
+    for n in (10, 100, 1000, 10000):
+        t = sampling.uniform_random_tree(n, rng)
+        text = t.to_json()
+        doc = json.loads(text)
+        assert json.dumps(doc, sort_keys=True) == text
+        # a preorder walk of the record gives back the labels and parents
+        labels, parents, stack = [], [], [(doc, 0)]
+        while stack:
+            rec, parent = stack.pop()
+            labels.append(rec["label"])
+            parents.append(parent)
+            stack.extend((c, len(labels)) for c in reversed(rec["children"]))
+        assert trees.SyntaxTree(labels, parents) == t
 
 
 def test_degree_word_round_trip(ref_tree):
@@ -427,6 +475,29 @@ def test_semantic_budget():
         trees.build_semantic_tree(t, node_budget=100)
     assert e.value.predicted == 9864101
     assert e.value.budget == 100
+
+
+def test_semantic_budget_past_the_profile_cap():
+    # 5990 actions in a chain, then a node whose 8 leaves interleave in
+    # 8! = 40320 runs; past the profile cap the size is bounded from below
+    # first by its 5999 levels, then by 10^4 runs
+    t = trees.parse_process("a." * 5990 + "b.(" + " || ".join("cdefghij") + ")")
+    assert t.size == 5999
+    with pytest.raises(trees.BudgetError) as e:
+        trees.build_semantic_tree(t, node_budget=5998)
+    assert e.value.predicted == 5999
+    assert "at least 5999 nodes, one per level" in str(e.value)
+    with pytest.raises(trees.BudgetError) as e:
+        trees.build_semantic_tree(t, node_budget=9999)
+    assert e.value.predicted == 10 ** 4
+    assert "at least 10^4 branches" in str(e.value)
+    # a budget the bounds do not exceed: the exact count decides,
+    # 5991 levels of one node and sum 8!/(8-m)! over m = 1..8 below them
+    with pytest.raises(trees.BudgetError) as e:
+        trees.build_semantic_tree(t, node_budget=10 ** 5)
+    assert e.value.predicted == 115591
+    sem = trees.build_semantic_tree(t, node_budget=115591)
+    assert sem.node_count == 115591 and sem.leaf_count() == 40320
 
 
 def test_semantic_leftmost_branch():
