@@ -139,6 +139,10 @@ COMMANDS = [
       for fmt in ["text", "json", "csv"]],
     ["seq", "mean_size", "--to", "6", "--format", "csv"],
     ["seq", "m_cuts", "--to", "2"],
+    # the mpmath ratio past n = 197 and mpmath's digits past 1e308
+    ["seq", "mean_width", "--to", "220", "--format", "json"],
+    ["seq", "mean_size", "--to", "210"],
+    ["seq", "geomean", "--to", "220", "--format", "csv"],
     # gen
     ["gen", "--size", "6", "--seed", "2", "--count", "2"],
     ["gen", "--size", "9", "--seed", "4", "--format", "json"],

@@ -28,17 +28,21 @@ from . import counts, profiles, sampling, trees
 SCI_SUFFIX_THRESHOLD = 10 ** 9
 DEFAULT_SEED = 1
 
-# sequences dumped by `seq`: first defined index, and whether an
-# asymptotic-ratio column exists
+# every sequence `seq` prints: its first index, its values at the indices
+# first..N (a range), and its asymptotic estimate at n (None: no ratio column).
+# Entries look their function up when called, so a wrapper put on the module
+# sees the calls
 SEQ_TABLE = {
-    "catalan": (1, False),
-    "increasing": (1, False),
-    "mean_width": (1, True),
-    "mean_size": (0, True),
-    "m_cuts": (4, False),
-    "r_seq": (3, False),
-    "nonplane": (1, False),
-    "geomean": (2, False),
+    "catalan": (1, lambda idx: map(counts.catalan, idx), None),
+    "increasing": (1, lambda idx: map(counts.increasing_count, idx), None),
+    "mean_width": (1, lambda idx: map(counts.mean_width, idx),
+                   lambda n: counts.mean_width_asymptotic(n)),
+    "mean_size": (0, lambda idx: map(counts.mean_size, idx),
+                  lambda n: counts.asymptotic_size(n) if n else None),
+    "m_cuts": (4, lambda idx: profiles.cut_count_sequence(idx[-1])[idx[0]:], None),
+    "r_seq": (3, lambda idx: counts.r_sequence(idx[-1])[idx[0]:], None),
+    "nonplane": (1, lambda idx: counts._nonplane_table(idx[-1])[idx[0]:], None),
+    "geomean": (2, lambda idx: map(counts.geometric_mean_width, idx), None),
 }
 
 
@@ -240,9 +244,12 @@ def _cmd_sample(args) -> int:
         sizes = t.subtree_sizes()
 
         def record(run) -> str:
-            steps = [Fraction(sizes[v - 1], n - k) for k, v in enumerate(run)]
-            return (f'{{"actions": {json.dumps([tokens[v] for v in run])}, "step_probabilities": '
-                    f'{json.dumps([[q.numerator, q.denominator] for q in steps])}}}')
+            steps = []
+            for k, v in enumerate(run):  # v drawn with probability |T(v)| / (n - k)
+                g = math.gcd(sizes[v - 1], n - k)
+                steps.append([sizes[v - 1] // g, (n - k) // g])
+            return (f'{{"actions": {json.dumps([tokens[v] for v in run])}, '
+                    f'"step_probabilities": {json.dumps(steps)}}}')
 
         head = "{"
         if args.freq:  # "frequency" sorts before "runs": its tally takes a pass of its own
@@ -297,70 +304,42 @@ def _cmd_semantic(args) -> int:
     return 0
 
 
-def _seq_values(name: str, N: int):
-    first, _ = SEQ_TABLE[name]
-    if N < first:
-        raise ValueError(f"{name} needs --to at least {first}")
-    idx = range(first, N + 1)
-    if name == "catalan":
-        return idx, [counts.catalan(n) for n in idx]
-    if name == "increasing":
-        return idx, [counts.increasing_count(n) for n in idx]
-    if name == "mean_width":
-        return idx, [counts.mean_width(n) for n in idx]
-    if name == "mean_size":
-        return idx, [counts.mean_size(n) for n in idx]
-    if name == "m_cuts":
-        return idx, profiles.cut_count_sequence(N)[first:]
-    if name == "r_seq":
-        return idx, counts.r_sequence(N)[first:]
-    if name == "nonplane":
-        return idx, counts._nonplane_table(N)[first:]
-    if name == "geomean":
-        return idx, [counts.geometric_mean_width(n) for n in idx]
-    raise AssertionError(name)
-
-
-def _seq_ratio(name: str, n: int, value) -> float | None:
-    """value / asymptotic estimate, for the sequences that have one."""
-    if name == "mean_width":
-        est = counts.mean_width_asymptotic(n)
-    elif name == "mean_size":
-        if n == 0:
-            return None
-        est = counts.asymptotic_size(n)
-    else:
-        return None
-    import mpmath as mp
-    exact = mp.mpf(value.numerator) / value.denominator
-    return float(exact / mp.mpf(est.value))
-
-
-def _cmd_seq(args) -> int:
-    name, N = args.name, args.to
-    idx, values = _seq_values(name, N)
-    _, has_ratio = SEQ_TABLE[name]
-    rows = []
-    for n, v in zip(idx, values):
+def _seq_rows(idx: range, values, estimate):
+    """(n, numerator, denominator, asymptotic ratio or None) at each index of
+    idx, each row made as it is asked for."""
+    for n, v in zip(idx, values(idx)):
         if isinstance(v, Fraction):
             num, den = v.numerator, v.denominator
         elif isinstance(v, int):
             num, den = v, 1
         else:  # high-precision float (geometric mean)
             num, den = _sig_digits(v, 12), 1
-        ratio = _seq_ratio(name, n, v) if has_ratio else None
-        rows.append((n, num, den, ratio))
+        est = estimate(n) if estimate else None
+        if est is None:
+            yield n, num, den, None
+            continue
+        import mpmath as mp
+        yield n, num, den, float(mp.mpf(num) / den / mp.mpf(est.value))
+
+
+def _cmd_seq(args) -> int:
+    name = args.name
+    first, values, estimate = SEQ_TABLE[name]
+    if args.to < first:
+        raise ValueError(f"{name} needs --to at least {first}")
+    rows = _seq_rows(range(first, args.to + 1), values, estimate)
     if args.format == "json":
-        doc = {"name": name,
-               "values": [{"n": n, "numerator": str(num), "denominator": str(den),
-                           **({"asymptotic_ratio": ratio} if ratio is not None else {})}
-                          for n, num, den, ratio in rows]}
-        print(json.dumps(doc, sort_keys=True))
+        def item(row) -> str:  # json.dumps(..., sort_keys=True) of the row's record
+            n, num, den, ratio = row
+            head = "{" if ratio is None else f'{{"asymptotic_ratio": {json.dumps(ratio)}, '
+            return f'{head}"denominator": "{den}", "n": {n}, "numerator": "{num}"}}'
+
+        _print_items(f'{{"name": "{name}", "values": [', map(item, rows), "]}")
     elif args.format == "csv":
         header = "n,value_numerator,value_denominator"
-        print(header + ",asymptotic_ratio" if has_ratio else header)
+        print(header + ",asymptotic_ratio" if estimate else header)
         for n, num, den, ratio in rows:
-            tail = f",{ratio:.9f}" if ratio is not None else ("," if has_ratio else "")
+            tail = f",{ratio:.9f}" if ratio is not None else ("," if estimate else "")
             print(f"{n},{num},{den}{tail}")
     else:
         for n, num, den, ratio in rows:

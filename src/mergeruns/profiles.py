@@ -143,8 +143,8 @@ def level_profile(t: SyntaxTree, method: str = "fast") -> tuple[int, ...]:
     if method != "fast":
         raise ValueError("method must be 'fast' or 'oracle'")
     if t.size > PROFILE_FAST_LIMIT:
-        raise BudgetError(f"profile computation capped at {PROFILE_FAST_LIMIT} nodes",
-                          t.size, PROFILE_FAST_LIMIT)
+        raise BudgetError(f"a {t.size}-node term is over the profile cap of "
+                          f"{PROFILE_FAST_LIMIT} nodes", t.size, PROFILE_FAST_LIMIT)
     return tuple(_prefix_counts(t))
 
 

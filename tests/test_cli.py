@@ -297,6 +297,14 @@ def test_profile_log10_matches_mpmath_on_random_ints():
         assert round(math.log10(c), 6) == round(_mp_log10(c), 6), c.bit_length()
 
 
+def test_profile_refusal_names_the_term_size(capsys, tmp_path):
+    src = tmp_path / "chain.term"
+    src.write_text(".".join(f"x{i}" for i in range(profiles.PROFILE_FAST_LIMIT + 1)))
+    code, out, err = run(capsys, "profile", "--input", str(src))
+    assert code == 2 and not out
+    assert "a 5001-node term is over the profile cap of 5000 nodes" in err
+
+
 # -- semantic -----------------------------------------------------------------------
 
 def test_semantic_dot_default(capsys):
@@ -435,6 +443,26 @@ def test_seq_below_first_index(capsys):
 def test_seq_unknown_name(capsys):
     code, _, err = run(capsys, "seq", "fibonacci", "--to", "5")
     assert code == 1
+
+
+def test_seq_calls_through_the_modules(capsys, monkeypatch):
+    # the table looks counts' functions up when it runs, so wrappers set on
+    # the module (as perfbench's spans are) see every call
+    calls = Counter()
+
+    def counting(name):
+        f = getattr(counts, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+        monkeypatch.setattr(counts, name, wrapper)
+
+    counting("catalan")
+    counting("mean_width_asymptotic")
+    assert run(capsys, "seq", "catalan", "--to", "5")[0] == 0
+    assert run(capsys, "seq", "mean_width", "--to", "7")[0] == 0
+    assert calls == {"catalan": 5, "mean_width_asymptotic": 7}
 
 
 # -- gen ------------------------------------------------------------------------------
@@ -589,23 +617,39 @@ def test_cli_import_leaves_numpy_out():
     assert loaded == {"import": [], **{" ".join(argv): [] for argv in LIGHT_COMMANDS}}
 
 
+class _CountingSink:
+    """A stdout that keeps only the number of characters written to it, so
+    no file buffer shows in a traced peak."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def flush(self):
+        pass
+
+
 def _traced_peak(argv):
-    """Exit code and tracemalloc peak of one in-process command, stdout dropped."""
-    tracemalloc.start()
-    try:
-        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-            code = cli.run_cli(argv)
-        return code, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    """Exit code, tracemalloc peak and printed characters of one in-process
+    command, stdout dropped."""
+    sink = _CountingSink()
+    with contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            return cli.run_cli(argv), tracemalloc.get_traced_memory()[1], sink.chars
+        finally:
+            tracemalloc.stop()
 
 
 def _peak_stays_flat(argv, few, many):
     """After a warm-up call, argv + [many] peaks at most 64 KB of
     tracemalloc above argv + [few]: 16 times the draws hold nothing more."""
     _traced_peak(argv + ["1"])  # first-call imports and caches
-    code_few, peak_few = _traced_peak(argv + [str(few)])
-    code_many, peak_many = _traced_peak(argv + [str(many)])
+    code_few, peak_few, _ = _traced_peak(argv + [str(few)])
+    code_many, peak_many, _ = _traced_peak(argv + [str(many)])
     assert code_few == code_many == 0
     assert peak_many < peak_few + 64 * 2 ** 10, (peak_few, peak_many)
 
@@ -623,3 +667,14 @@ def test_sample_json_prints_as_it_draws():
 def test_gen_text_prints_as_it_draws(fmt):
     # no format holds a shape
     _peak_stays_flat(["gen", "--size", "30", "--format", fmt, "--count"], 250, 4000)
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+@pytest.mark.parametrize("name", ["catalan", "increasing", "mean_width"])
+def test_seq_prints_as_it_computes(name, fmt):
+    # no format holds the rows: the peak is a small share of the output
+    argv = ["seq", name, "--to", "1200", "--format", fmt]
+    assert cli.run_cli(argv[:3] + ["1"]) == 0  # first-call imports and caches
+    code, peak, printed = _traced_peak(argv)
+    assert code == 0
+    assert peak < printed / 20, (peak, printed)
