@@ -132,6 +132,8 @@ COMMANDS = [
     ["semantic", REF, "--format", "json"],
     ["semantic", "r.(a.b || c || d.(e || f))", "--format", "text"],
     ["semantic", WIDE, "--budget", "100"],
+    # the exact count 287967 decides, past both lower bounds
+    ["semantic", "--budget", "200000", WIDE],
     # seq, every name in every format
     *[["seq", name, "--to", "12", "--format", fmt]
       for name in ["catalan", "geomean", "increasing", "m_cuts", "mean_size",

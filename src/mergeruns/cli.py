@@ -288,6 +288,8 @@ def _cmd_profile(args) -> int:
 
 def _cmd_semantic(args) -> int:
     t = _parse_term(args)
+    if args.budget < 1:
+        raise ValueError("--budget must be at least 1")
     sem = trees.build_semantic_tree(t, node_budget=args.budget)
     if args.format == "json":
         print(json.dumps({"nodes": sem.node_count,

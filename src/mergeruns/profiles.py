@@ -10,11 +10,10 @@ without building it.
 from __future__ import annotations
 
 import math
-from decimal import Decimal
 from typing import NamedTuple
 
 from .counts import hook_count
-from .trees import SEMANTIC_NODE_BUDGET, BudgetError, SyntaxTree
+from .trees import BudgetError, SyntaxTree
 
 CUT_ENUMERATION_LIMIT = 18
 PROFILE_FAST_LIMIT = 5000
@@ -208,27 +207,10 @@ def _prefix_counts(t: SyntaxTree) -> list[int]:
     return vecs[1][-2::-1]
 
 
-def semantic_size(t: SyntaxTree, node_budget: int = SEMANTIC_NODE_BUDGET) -> int:
-    """Exact node count of the computation tree, without building it.
-
-    Up to PROFILE_FAST_LIMIT nodes it sums the fast profile.  Past it,
-    BudgetError is raised when node_budget is under a lower bound: n, a
-    node per level, or 10^k under the run count n! / prod |T(v)|, a leaf per
-    run.  Otherwise the exact profile follows without the cap, its entries
-    at most the run count (prefixes of one length extend to disjoint runs).
-    """
-    n = t.size
-    if n <= PROFILE_FAST_LIMIT:
-        return sum(level_profile(t, method="fast"))
-    if n > node_budget:
-        raise BudgetError(f"semantic tree has at least {n} nodes, one per level, over the "
-                          f"budget of {node_budget}", n, node_budget)
-    log_runs = math.lgamma(n + 1) - math.fsum(map(math.log, t.subtree_sizes()))
-    k = max(0, math.floor(log_runs / math.log(10) - 1e-6))  # 10^k stays under despite rounding
-    if Decimal(f"1e{k}") > node_budget:
-        raise BudgetError(f"semantic tree has at least 10^{k} branches, over the budget of "
-                          f"{node_budget} nodes", Decimal(f"1e{k}"), node_budget)
-    return sum(_prefix_counts(t))
+def semantic_size(t: SyntaxTree) -> int:
+    """Exact node count of the computation tree, without building it: the
+    sum of the level profile, so terms over PROFILE_FAST_LIMIT are refused."""
+    return sum(level_profile(t))
 
 
 def limit_profile(c: float, n: int) -> float:

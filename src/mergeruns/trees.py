@@ -10,7 +10,10 @@ encoding, and exhaustive enumeration.
 
 from __future__ import annotations
 
+import math
 import re
+from collections import Counter
+from decimal import Decimal
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterator, NamedTuple, Sequence
 
@@ -242,52 +245,46 @@ class SyntaxTree:
 class SemanticTree:
     """Explicit computation tree: every branch is one complete run.
 
-    Nodes carry the label and preorder id of the syntax-tree action they
-    consume, plus a depth index (level 0 = root).  Built only by
-    build_semantic_tree; sizes grow like (n-1)! so this is an oracle, not a
-    scalable representation.
+    Nodes are numbered in preorder and carry the label and preorder id of
+    the syntax-tree action they consume.  Built only by build_semantic_tree;
+    sizes grow like (n-1)! so this is an oracle, not a scalable
+    representation.
     """
 
-    __slots__ = ("labels", "parents", "levels", "source_ids", "_children")
+    __slots__ = ("labels", "parents", "source_ids")
 
-    def __init__(self, labels, parents, levels, source_ids):
+    def __init__(self, labels, parents, source_ids):
         self.labels = tuple(labels)
         self.parents = tuple(parents)
-        self.levels = tuple(levels)
         self.source_ids = tuple(source_ids)
-        self._children = None
 
     @property
     def node_count(self) -> int:
         return len(self.labels)
 
     def level_counts(self) -> tuple[int, ...]:
-        depth = max(self.levels)
-        counts = [0] * (depth + 1)
-        for lv in self.levels:
-            counts[lv] += 1
-        return tuple(counts)
-
-    def children_counts(self) -> tuple[int, ...]:
-        if self._children is None:
-            deg = [0] * len(self.labels)
-            for p in self.parents:
-                if p:
-                    deg[p - 1] += 1
-            self._children = tuple(deg)
-        return self._children
+        """Nodes per depth, level 0 = root, in one pass over the parents: a
+        preorder parent comes before its children, so its depth is known and
+        each depth is first counted after the one above it."""
+        depths = [-1]  # depths[0] belongs to the root's parent, 0
+        counts: Counter[int] = Counter()
+        for p in self.parents:
+            depths.append(depths[p] + 1)
+            counts[depths[-1]] += 1
+        return tuple(counts.values())
 
     def leaf_count(self) -> int:
-        return sum(1 for d in self.children_counts() if d == 0)
+        # the distinct parents are the inner nodes and the root's parent 0
+        return self.node_count - len(set(self.parents)) + 1
 
     def branches(self) -> Iterator[tuple[int, ...]]:
         """Yield each root-to-leaf branch as the consumed syntax-node ids."""
-        deg = self.children_counts()
-        for i, d in enumerate(deg):
-            if d:
+        inner = set(self.parents)
+        for leaf in range(1, self.node_count + 1):
+            if leaf in inner:
                 continue
             path = []
-            v = i + 1
+            v = leaf
             while v:
                 path.append(self.source_ids[v - 1])
                 v = self.parents[v - 1]
@@ -432,41 +429,45 @@ def build_semantic_tree(t: SyntaxTree, node_budget: int = SEMANTIC_NODE_BUDGET) 
     """Explicitly expand the semantic tree of t.
 
     The root consumes t's root; every node's children consume, left to right,
-    the actions enabled once it is done.  The expansion is refused up front
-    when the predicted node count exceeds node_budget, since sizes grow
-    factorially; past the profile cap, semantic_size refuses on lower bounds.
+    the actions enabled once it is done.  Sizes grow factorially, so the
+    expansion is refused up front when node_budget is under a lower bound:
+    n, a node per level, or 10^k under the run count n! / prod |T(v)|, a leaf
+    per run.  Only then is the exact size summed from the level profile, its
+    entries at most the run count (prefixes of one length extend to disjoint
+    runs), so no level is over about ten times the budget.
     """
-    from .profiles import semantic_size  # deferred: profiles builds on this module
+    n = t.size
+    if n > node_budget:
+        raise BudgetError(f"semantic tree has at least {n} nodes, one per level, over the "
+                          f"budget of {node_budget}", n, node_budget)
+    log_runs = math.lgamma(n + 1) - math.fsum(map(math.log, t.subtree_sizes()))
+    k = max(0, math.floor(log_runs / math.log(10) - 1e-6))  # 10^k stays under despite rounding
+    if Decimal(f"1e{k}") > node_budget:
+        raise BudgetError(f"semantic tree has at least 10^{k} branches, over the budget of "
+                          f"{node_budget} nodes", Decimal(f"1e{k}"), node_budget)
+    from .profiles import _prefix_counts  # deferred: profiles builds on this module
 
-    predicted = semantic_size(t, node_budget)
+    predicted = sum(_prefix_counts(t))
     if predicted > node_budget:
         raise BudgetError(
             f"semantic tree has exactly {predicted} nodes, over the budget of {node_budget}",
             predicted, node_budget)
-    labels: list[str] = []
     parents: list[int] = []
-    levels: list[int] = []
     source: list[int] = []
-
-    def new_node(v: int, parent: int, level: int) -> int:
-        labels.append(t.label(v))
-        parents.append(parent)
-        levels.append(level)
-        source.append(v)
-        return len(labels)
-
-    # stack entries: (semantic parent, level, consumed node, frontier before it)
-    stack = [(0, 0, 1, (1,))]
+    # stack entries: (semantic parent, consumed node, frontier before it)
+    stack = [(0, 1, (1,))]
     while stack:
-        parent_sem, level, v, frontier = stack.pop()
-        sem = new_node(v, parent_sem, level)
+        parent_sem, v, frontier = stack.pop()
+        parents.append(parent_sem)
+        source.append(v)
+        sem = len(source)
         remaining = [w for w in frontier if w != v]
         remaining.extend(t.children(v))
         remaining.sort()
         nxt = tuple(remaining)
         for w in reversed(nxt):
-            stack.append((sem, level + 1, w, nxt))
-    return SemanticTree(labels, parents, levels, source)
+            stack.append((sem, w, nxt))
+    return SemanticTree(map(t.label, source), parents, source)
 
 
 def degree_sequence_of_tree(t: SyntaxTree) -> tuple[int, ...]:

@@ -328,10 +328,22 @@ def test_semantic_json(capsys):
 
 
 def test_semantic_budget_exit_code(capsys):
+    # 10! = 3628800 runs: a budget of 1000 is under the bound of 10^6 of
+    # them, and the exact 9864101 nodes decide at a budget past the bound
     wide = "r.(" + " || ".join(f"x{i}" for i in range(10)) + ")"
-    code, _, err = run(capsys, "semantic", wide, "--budget", "1000")
-    assert code == 2
-    assert "9864101" in err
+    code, out, err = run(capsys, "semantic", wide, "--budget", "1000")
+    assert code == 2 and not out
+    assert "at least 10^6 branches, over the budget of 1000 nodes" in err
+    code, out, err = run(capsys, "semantic", wide, "--budget", "5000000")
+    assert code == 2 and not out
+    assert "exactly 9864101 nodes, over the budget of 5000000" in err
+
+
+def test_semantic_budget_must_be_positive(capsys):
+    for budget in ("0", "-3"):
+        code, out, err = run(capsys, "semantic", TERM, "--budget", budget)
+        assert code == 1 and not out
+        assert "--budget must be at least 1" in err
 
 
 def test_semantic_past_the_profile_cap(capsys):
@@ -362,6 +374,18 @@ def test_semantic_refuses_a_wide_term_by_its_run_count(capsys):
     assert code == 2 and not out
     # log10(5999!) = 20061.6...
     assert "at least 10^20061 branches, over the budget of 1000000 nodes" in err
+
+
+def test_semantic_refuses_a_random_term_by_its_run_count(capsys, tmp_path):
+    # under the profile cap too the bound comes first: summing this term's
+    # exact profile, a 3403-digit count, would take seconds
+    src = tmp_path / "uniform.term"
+    src.write_text(sampling.uniform_random_tree(1500, sampling.Rng(3)).to_term())
+    start = time.perf_counter()
+    code, out, err = run(capsys, "semantic", "--input", str(src))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and not out
+    assert "at least 10^3402 branches, over the budget of 1000000 nodes" in err
 
 
 # -- seq ------------------------------------------------------------------------------

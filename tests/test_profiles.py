@@ -263,6 +263,13 @@ def test_semantic_size_path():
     assert profiles.semantic_size(path(25)) == 25
 
 
+def test_semantic_size_keeps_the_profile_cap():
+    n = profiles.PROFILE_FAST_LIMIT
+    assert profiles.semantic_size(path(n)) == n
+    with pytest.raises(trees.BudgetError, match="over the profile cap"):
+        profiles.semantic_size(path(n + 1))
+
+
 def test_semantic_size_big_star_exact():
     # sum over k <= 39 of 39!/k!, a 47-digit integer
     got = profiles.semantic_size(star(40))

@@ -2,6 +2,7 @@
 
 import json
 import sys
+from decimal import Decimal
 from itertools import accumulate, product
 
 import pytest
@@ -470,17 +471,24 @@ def test_semantic_levels_are_prefix_counts():
 
 
 def test_semantic_budget():
-    t = trees.parse_process(oracles.to_term(((),) * 10, None))  # star, 11 nodes
+    # star, 11 nodes, 10! = 3628800 runs: a budget under 10^6 is refused on
+    # that bound, one past it on the exact count
+    t = trees.parse_process(oracles.to_term(((),) * 10, None))
     with pytest.raises(trees.BudgetError) as e:
         trees.build_semantic_tree(t, node_budget=100)
-    assert e.value.predicted == 9864101
+    assert e.value.predicted == Decimal("1e6")
     assert e.value.budget == 100
+    with pytest.raises(trees.BudgetError) as e:
+        trees.build_semantic_tree(t, node_budget=5 * 10 ** 6)
+    assert e.value.predicted == 9864101
+    assert e.value.budget == 5 * 10 ** 6
 
 
 def test_semantic_budget_past_the_profile_cap():
     # 5990 actions in a chain, then a node whose 8 leaves interleave in
-    # 8! = 40320 runs; past the profile cap the size is bounded from below
-    # first by its 5999 levels, then by 10^4 runs
+    # 8! = 40320 runs; the size is bounded from below first by its 5999
+    # levels, then by 10^4 runs, and past the profile cap the exact count
+    # still decides
     t = trees.parse_process("a." * 5990 + "b.(" + " || ".join("cdefghij") + ")")
     assert t.size == 5999
     with pytest.raises(trees.BudgetError) as e:
