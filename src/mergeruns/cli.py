@@ -153,10 +153,12 @@ def _parse_term(args) -> trees.SyntaxTree:
     return trees.parse_process(text, allow_forest=args.forest)
 
 
-def _resolve_action(t: trees.SyntaxTree, token: str) -> int:
-    """label, label#id or #id -> node id."""
+def _resolve_action(t: trees.SyntaxTree, label_ids: dict, token: str) -> int:
+    """label, label#id or #id -> node id.  The whole token is tried as a
+    label first: parsed labels hold no '#', so only the forest root's does."""
     token = token.strip()
-    if "#" in token:
+    ids = label_ids.get(token)
+    if ids is None and "#" in token:
         label, _, raw = token.rpartition("#")
         try:
             v = int(raw)
@@ -167,7 +169,11 @@ def _resolve_action(t: trees.SyntaxTree, token: str) -> int:
         if label and t.label(v) != label:
             raise KeyError(f"node {v} is labelled {t.label(v)!r}, not {label!r}")
         return v
-    return t.node_by_label(token)
+    if ids is None:
+        raise KeyError(f"no action labelled {token!r}")
+    if len(ids) > 1:
+        raise KeyError(f"label {token!r} is ambiguous (ids {', '.join(map(str, ids))}); use label#id")
+    return ids[0]
 
 
 def _cmd_count(args) -> int:
@@ -192,7 +198,10 @@ def _cmd_count(args) -> int:
 
 def _cmd_prob(args) -> int:
     t = _parse_term(args)
-    sigma = [_resolve_action(t, tok) for tok in args.prefix.split(",")]
+    label_ids = {}
+    for v, label in enumerate(t.labels, start=1):
+        label_ids.setdefault(label, []).append(v)
+    sigma = [_resolve_action(t, label_ids, tok) for tok in args.prefix.split(",")]
     rho = sampling.prefix_probability(t, sigma)
     if args.format == "json":
         # the line json.dumps(..., sort_keys=True) writes, except that a

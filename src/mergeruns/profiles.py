@@ -53,36 +53,28 @@ def count_admissible_cuts(t: SyntaxTree) -> int:
 def enumerate_admissible_cuts(t: SyntaxTree) -> list[AdmissibleCut]:
     """All nonempty admissible cuts, largest first, then shape, then ids.
 
-    Refuses trees above CUT_ENUMERATION_LIMIT before doing any work; the
-    refusal carries the exact number of cuts it would have produced.
+    Refuses trees above CUT_ENUMERATION_LIMIT nodes before doing any work.
     """
     if t.size > CUT_ENUMERATION_LIMIT:
-        predicted = count_admissible_cuts(t) - 1
-        raise BudgetError(
-            f"tree size {t.size} over the cut enumeration limit {CUT_ENUMERATION_LIMIT}; "
-            f"it has {predicted} nonempty cuts",
-            predicted, CUT_ENUMERATION_LIMIT)
+        raise BudgetError(f"a {t.size}-node term is over the cut enumeration cap of "
+                          f"{CUT_ENUMERATION_LIMIT} nodes", t.size, CUT_ENUMERATION_LIMIT)
 
-    def cuts_of(v: int) -> list[frozenset[int]]:
-        # nonempty cuts of the subtree at v; each child independently
-        # contributes nothing or one of its own cuts
-        options = [frozenset((v,))]
+    def cuts_of(v: int) -> list[tuple[int, ...]]:
+        # nonempty cuts of the subtree at v as ascending ids; each child
+        # independently contributes nothing or one of its own cuts, whose
+        # ids all follow those already chosen
+        options = [(v,)]
         for c in t.children(v):
             sub_options = cuts_of(c)
-            extended = []
-            for base in options:
-                for sub in sub_options:
-                    extended.append(base | sub)
-            options.extend(extended)
+            options += [base + sub for base in options for sub in sub_options]
         return options
 
     decorated = []
-    for members in cuts_of(1):
-        nodes = tuple(sorted(members))
-        # member ids ascending are exactly the prefix-traversal order of the
-        # induced subtree, so its degree word reads off directly
-        degrees = tuple(sum(1 for c in t.children(v) if c in members) for v in nodes)
-        shape = SyntaxTree.from_degree_word(degrees, [t.label(v) for v in nodes])
+    for nodes in cuts_of(1):
+        # member ids ascending are the induced subtree's preorder; a member's
+        # parent is the member at its position (0 for the root's parent)
+        position = dict(zip((0, *nodes), range(len(nodes) + 1)))
+        shape = SyntaxTree([t.label(v) for v in nodes], [position[t.parent(v)] for v in nodes])
         decorated.append(AdmissibleCut(shape, nodes, hook_count(shape)))
     decorated.sort(key=lambda c: (-c.size, c.shape.degree_word(), c.nodes))
     return decorated
@@ -170,16 +162,21 @@ def _prefix_counts(t: SyntaxTree) -> list[int]:
     O(n) in all.
     """
     n = t.size
+    sizes = t.subtree_sizes()
     vecs: list[list[int] | None] = [None] * (n + 1)
     for v in range(n, 0, -1):
         leaves = 0
         inner = []
-        for c in t.children(v):
-            if len(vecs[c]) == 2:  # a leaf's vector is [1, 1]
+        c = v + 1  # the children: v + 1, then each id past the last one's subtree
+        end = v + sizes[v - 1]
+        while c < end:
+            s = sizes[c - 1]
+            if s == 1:
                 leaves += 1
             else:
                 inner.append(vecs[c])
             vecs[c] = None  # free as we go, vectors get long
+            c += s
         if not leaves and len(inner) == 1:
             inner[0].append(1)
             vecs[v] = inner[0]

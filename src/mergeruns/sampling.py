@@ -237,7 +237,6 @@ def sample_run(t: SyntaxTree, rng: Rng) -> tuple[int, ...]:
     level, which cost about half the sampler's time.
     """
     sizes = t.subtree_sizes()
-    kids = t._child_table()
     n = t.size
     draw = rng.uniform_int
     weights = [0] * n
@@ -245,9 +244,12 @@ def sample_run(t: SyntaxTree, rng: Rng) -> tuple[int, ...]:
     run = [1]  # the root is the only enabled action, no randomness spent
     v = 1
     for p in range(2, n + 1):
-        for c in kids[v - 1]:  # enable the children of the last action
+        c = v + 1  # enable the last action's children, as SyntaxTree.children walks them
+        end = v + sizes[v - 1]
+        while c < end:
             i = c - 1
             w = sizes[i]
+            c += w
             weights[i] = w
             below[i] += w
             while i:

@@ -55,7 +55,7 @@ class SyntaxTree:
     occupies the contiguous id range [v, v + |T(v)|).
     """
 
-    __slots__ = ("_labels", "_parents", "_children", "_sizes", "_by_label")
+    __slots__ = ("_labels", "_parents", "_sizes")
 
     def __init__(self, labels: Sequence[str], parents: Sequence[int]):
         labels = tuple(labels)
@@ -84,9 +84,7 @@ class SyntaxTree:
             raise ValueError("node ids are not in prefix-traversal order") from None
         self._labels = labels
         self._parents = parents
-        self._children = None
         self._sizes = None
-        self._by_label = None
 
     # -- construction -----------------------------------------------------
 
@@ -138,22 +136,14 @@ class SyntaxTree:
         return self._parents[v - 1]
 
     def children(self, v: int) -> tuple[int, ...]:
-        try:
-            return self._children[v - 1]
-        except TypeError:
-            # the table is None until first use; an unraised try costs
-            # nothing, so samplers calling this per node pay no check
-            return self._child_table()[v - 1]
-
-    def _child_table(self) -> tuple[tuple[int, ...], ...]:
-        """Child ids of every node, indexed by v - 1; built on first use,
-        since counting and prefix probabilities read parents only."""
-        if self._children is None:
-            kids: list[list[int]] = [[] for _ in range(self.size + 1)]
-            for v, p in enumerate(self._parents, start=1):
-                kids[p].append(v)
-            self._children = tuple(map(tuple, kids[1:]))
-        return self._children
+        """Child ids ascending: v + 1, then each id past the last one's subtree."""
+        sizes = self.subtree_sizes()
+        kids = []
+        c = v + 1
+        while c < v + sizes[v - 1]:
+            kids.append(c)
+            c += sizes[c - 1]
+        return tuple(kids)
 
     @property
     def labels(self) -> tuple[str, ...]:
@@ -169,25 +159,12 @@ class SyntaxTree:
             self._sizes = tuple(sizes[1:])
         return self._sizes
 
-    def nodes_by_label(self, label: str) -> tuple[int, ...]:
-        if self._by_label is None:
-            by = {}
-            for v, lab in enumerate(self._labels, start=1):
-                by.setdefault(lab, []).append(v)
-            self._by_label = {lab: tuple(vs) for lab, vs in by.items()}
-        return self._by_label.get(label, ())
-
-    def node_by_label(self, label: str) -> int:
-        """Unique node with the given label; errors on missing or ambiguous."""
-        ids = self.nodes_by_label(label)
-        if not ids:
-            raise KeyError(f"no action labelled {label!r}")
-        if len(ids) > 1:
-            raise KeyError(f"label {label!r} is ambiguous (ids {', '.join(map(str, ids))}); use label#id")
-        return ids[0]
-
     def degree_word(self) -> tuple[int, ...]:
-        return tuple(map(len, self._child_table()))
+        """Out-degree of every node, indexed by v - 1, counted from the parents."""
+        deg = [0] * (self.size + 1)
+        for p in self._parents:
+            deg[p] += 1
+        return tuple(deg[1:])
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SyntaxTree)
@@ -204,9 +181,7 @@ class SyntaxTree:
 
     def to_term(self) -> str:
         """Render as a term string parseable by parse_process."""
-        deg = [0] * (self.size + 1)
-        for p in self._parents:
-            deg[p] += 1
+        deg = (0, *self.degree_word())
         heads = [label + (".(" if d > 1 else "." if d else "")
                  for label, d in zip(("",) + self._labels, deg)]
         tails = [")" if d > 1 else "" for d in deg]
@@ -454,19 +429,18 @@ def build_semantic_tree(t: SyntaxTree, node_budget: int = SEMANTIC_NODE_BUDGET) 
             predicted, node_budget)
     parents: list[int] = []
     source: list[int] = []
-    # stack entries: (semantic parent, consumed node, frontier before it)
-    stack = [(0, 1, (1,))]
+    # stack entries: (semantic parent, frontier, index of the node consumed);
+    # v's children take v's place, as no other enabled action is in v's subtree
+    stack = [(0, (1,), 0)]
     while stack:
-        parent_sem, v, frontier = stack.pop()
+        parent_sem, frontier, j = stack.pop()
+        v = frontier[j]
         parents.append(parent_sem)
         source.append(v)
         sem = len(source)
-        remaining = [w for w in frontier if w != v]
-        remaining.extend(t.children(v))
-        remaining.sort()
-        nxt = tuple(remaining)
-        for w in reversed(nxt):
-            stack.append((sem, w, nxt))
+        nxt = frontier[:j] + t.children(v) + frontier[j + 1:]
+        for k in range(len(nxt) - 1, -1, -1):
+            stack.append((sem, nxt, k))
     return SemanticTree(map(t.label, source), parents, source)
 
 

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -142,10 +144,32 @@ def test_prob_below_the_float_range(capsys):
                    f'"probability": [1, {math.factorial(200)}]}}\n')
 
 
+def test_prob_unknown_label(capsys):
+    code, _, err = run(capsys, "prob", TERM, "--prefix", "a,zz")
+    assert code == 1
+    assert err == "mergeruns: error: no action labelled 'zz'\n"
+
+
 def test_prob_ambiguous_label(capsys):
     code, _, err = run(capsys, "prob", "a.(b || b)", "--prefix", "a,b")
     assert code == 1
-    assert "ambiguous" in err
+    assert err == "mergeruns: error: label 'b' is ambiguous (ids 2, 3); use label#id\n"
+    # either id form resolves it
+    for token, v in (("b#2", 2), ("b#3", 3)):
+        _, out, _ = run(capsys, "prob", "a.(b || b)", "--prefix", f"a,{token}", "--format", "json")
+        assert json.loads(out)["prefix"] == [1, v]
+
+
+def test_prob_forest_root_by_label(capsys):
+    # the forest root's label holds '#', and is tried whole before id forms
+    for prefix in ("#root,a", "#root#1,a", "#1,a"):
+        code, out, _ = run(capsys, "prob", "a.b || c", "--forest", "--prefix", prefix,
+                           "--format", "json")
+        assert code == 0
+        assert json.loads(out)["prefix"] == [1, 2]
+    code, _, err = run(capsys, "prob", "a.b", "--prefix", "#root,a")
+    assert code == 1
+    assert err == "mergeruns: error: bad node id in '#root'\n"
 
 
 def test_prob_wrong_label_for_id(capsys):
@@ -267,6 +291,16 @@ def test_profile_oracle_flag_matches(capsys):
     _, fast, _ = run(capsys, "profile", TERM)
     _, oracle, _ = run(capsys, "profile", TERM, "--oracle")
     assert fast == oracle
+
+
+def test_profile_oracle_refuses_on_size_alone(capsys):
+    # a 10^5-leaf star has 2^(10^5) cuts; the refusal neither counts nor prints them
+    star = "a.(" + " || ".join(f"x{i}" for i in range(10 ** 5)) + ")"
+    code, out, err = run(capsys, "profile", star, "--oracle")
+    assert code == 2 and not out
+    assert err == ("mergeruns: budget exceeded: a 100001-node term is over the cut "
+                   "enumeration cap of 18 nodes\n")
+    assert len(err) < 200
 
 
 def test_profile_json_log10(capsys):
@@ -702,3 +736,34 @@ def test_seq_prints_as_it_computes(name, fmt):
     code, peak, printed = _traced_peak(argv)
     assert code == 0
     assert peak < printed / 20, (peak, printed)
+
+
+# -- the README ---------------------------------------------------------------------
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_examples():
+    """(argv, stdout lines) of every `$ mergeruns ...` line in the README's
+    sh blocks whose full output is shown: lines with a redirection or a
+    comment, and outputs elided with `...`, are left out."""
+    examples = []
+    text = README.read_text(encoding="utf-8")
+    for block in re.findall(r"^```sh\n(.*?)^```", text, re.MULTILINE | re.DOTALL):
+        for chunk in re.split(r"^\$ ", block, flags=re.MULTILINE)[1:]:
+            command, *output = chunk.splitlines()
+            argv = shlex.split(command)
+            if (argv[0] != "mergeruns" or argv != shlex.split(command, comments=True)
+                    or {">", ">>", "<", "|"} & set(argv) or "..." in output):
+                continue
+            examples.append((argv[1:], output))
+    return examples
+
+
+def test_readme_examples_print_what_they_show(capsys):
+    examples = _readme_examples()
+    assert len(examples) >= 7
+    for argv, want in examples:
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), argv
+        assert out.splitlines() == want, argv

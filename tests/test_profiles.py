@@ -73,9 +73,12 @@ def test_enumerate_cuts_order_and_labels(ref_tree):
 
 
 def test_enumerate_cuts_budget():
+    # refused on the node count alone, before any cut is counted
     with pytest.raises(trees.BudgetError) as e:
         profiles.enumerate_admissible_cuts(star(20))
-    assert e.value.predicted == 2 ** 19
+    assert e.value.predicted == 20
+    assert e.value.budget == profiles.CUT_ENUMERATION_LIMIT
+    assert str(e.value) == "a 20-node term is over the cut enumeration cap of 18 nodes"
 
 
 def test_cut_labellings_sum_to_semantic_size():

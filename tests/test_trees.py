@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mergeruns import counts, sampling, trees
+from mergeruns import cli, counts, sampling, trees
 
 
 # -- parsing ------------------------------------------------------------------
@@ -364,21 +364,16 @@ def test_degree_sequence_drop_error_indexed():
     assert "3" in str(e.value) or "2" in str(e.value)
 
 
-# -- labels and lookup --------------------------------------------------------
-
-def test_label_lookup(ref_tree):
-    assert ref_tree.node_by_label("d") == 4
-    assert ref_tree.nodes_by_label("d") == (4,)
-    with pytest.raises(KeyError):
-        ref_tree.node_by_label("zz")
-
+# -- labels -------------------------------------------------------------------
 
 def test_ambiguous_label():
     t = trees.parse_process("a.(b || b)")
-    assert t.nodes_by_label("b") == (2, 3)
+    assert t.labels == ("a", "b", "b")
+    label_ids = {"a": [1], "b": [2, 3]}
     with pytest.raises(KeyError) as e:
-        t.node_by_label("b")
+        cli._resolve_action(t, label_ids, "b")
     assert "ambiguous" in str(e.value)
+    assert cli._resolve_action(t, label_ids, "b#3") == 3
 
 
 def test_default_labels():
