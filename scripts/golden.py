@@ -73,6 +73,18 @@ def _random(n: int, seed: int) -> list[int]:
     return degrees
 
 
+def _repeated(sub: list[int], k: int, leaves: int) -> list[int]:
+    """Degree word of a root over k copies of the shape sub, with the leaves
+    spread over the gaps before, between and after the copies."""
+    gaps = [0] * (k + 1)
+    for i in range(leaves):
+        gaps[i * k // max(leaves - 1, 1)] += 1
+    word = [k + leaves] + [0] * gaps[0]
+    for g in gaps[1:]:
+        word += sub + [0] * g
+    return word
+
+
 COMMANDS = [
     ["--version"],
     # count
@@ -127,6 +139,11 @@ COMMANDS = [
     ["profile", "--format", "json", _term([600] + [0] * 600)],
     ["profile", "--format", "json", _term(_random(1000, 13))],
     ["profile", "--format", "json", _term(_wide(400))],
+    # repeated children: 12 copies of a 9-node shape among 5 leaves, and
+    # two copies of a 60-node shape
+    ["profile", "--format", "csv", _term(_repeated(_random(9, 1), 12, 5))],
+    ["profile", "--format", "json", _term(_repeated(_random(9, 1), 12, 5))],
+    ["profile", "--format", "text", _term(_repeated(_random(60, 5), 2, 0))],
     # semantic
     ["semantic", REF],
     ["semantic", REF, "--format", "json"],

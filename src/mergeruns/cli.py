@@ -28,13 +28,27 @@ from . import counts, profiles, sampling, trees
 SCI_SUFFIX_THRESHOLD = 10 ** 9
 DEFAULT_SEED = 1
 
+
+def _stepped(idx: range, first, step):
+    """first(idx[0]), then each next value from the one before: step(value,
+    n) is the value at n + 1, one product by a small factor instead of a fresh
+    call."""
+    value = first(idx[0])
+    yield value
+    for n in idx[:-1]:
+        value = step(value, n)
+        yield value
+
+
 # every sequence `seq` prints: its first index, its values at the indices
 # first..N (a range), and its asymptotic estimate at n (None: no ratio column).
 # Entries look their function up when called, so a wrapper put on the module
 # sees the calls
 SEQ_TABLE = {
-    "catalan": (1, lambda idx: map(counts.catalan, idx), None),
-    "increasing": (1, lambda idx: map(counts.increasing_count, idx), None),
+    "catalan": (1, lambda idx: _stepped(idx, counts.catalan,
+                                        lambda v, n: v * (4 * n - 2) // (n + 1)), None),
+    "increasing": (1, lambda idx: _stepped(idx, counts.increasing_count,
+                                           lambda v, n: v * (2 * n - 1)), None),
     "mean_width": (1, lambda idx: map(counts.mean_width, idx),
                    lambda n: counts.mean_width_asymptotic(n)),
     "mean_size": (0, lambda idx: map(counts.mean_size, idx),

@@ -118,13 +118,15 @@ def level_profile(t: SyntaxTree, method: str = "fast") -> tuple[int, ...]:
     the deepest one instead, the entry at depth l has i = n - 1 - l.
 
     method="fast" runs the binomial-convolution pass.  Its big-integer
-    work is what the merges really need: leaf children cost one small
-    product each (closed form), the first merge at every node is free, and
-    every other merge adds one row per entry of the shorter vector, so a
-    star or a chain costs O(n) products and a uniform shape still grows
-    about 8x per doubling.  method="oracle" enumerates admissible cuts and
-    adds up their labellings per size, exponential and for cross-checking
-    only.
+    work is what the merges really need: the first merge at every node is
+    free and every other merge by rows adds one row per entry of the
+    shorter vector, while a node's leaves and repeated children (equal
+    vectors) fold in one pass of an exact linear recurrence whenever that
+    is predicted to cost fewer products than their rows.  A star, a chain
+    or a root over many short equal chains thus costs O(n) products, and a
+    uniform shape still grows about 8x per doubling.  method="oracle"
+    enumerates admissible cuts and adds up their labellings per size,
+    exponential and for cross-checking only.
     """
     if method == "oracle":
         out = [0] * t.size
@@ -145,22 +147,56 @@ def _prefix_counts(t: SyntaxTree) -> list[int]:
     Bottom-up. For each node, index m of its working vector counts the
     interleaved prefix sequences drawing m actions from its children's
     subtrees (two disjoint sequences of lengths i and j interleave in
-    binom(i + j, i) ways); prepending 1 shifts in the node itself.
+    binom(i + j, i) ways); prepending 1 shifts in the node itself.  Read as
+    exponential generating functions (EGFs: entry m is the coefficient of
+    x^m / m!), a merge is a product, so a node's working vector is the
+    product of its children's vectors, taken in any order.
 
-    The merges commute, so they run in the cheapest order.  The L leaf
-    children go first, together: m actions drawn from them form
-    L!/(L - m)! sequences.  The first vector merged into [1] is taken as
-    it is.  Every later merge copies the longer vector (entry 0 of every
+    Merges by rows: a merge copies the longer vector (entry 0 of every
     vector is 1, so that is its row for the shorter vector's entry 0) and
-    adds one row per further entry of the shorter one.  A row's weight
-    other[j] * binom(i + j, j) steps along i by one small multiply and one
-    exact small divide, so each row entry costs one product by the weight,
-    which stays a few machine words while other[j] is small.
+    adds one row per further entry of the shorter one, (shorter - 1) *
+    longer products, so the first vector merged into [1] is free.  A row's
+    weight other[j] * binom(i + j, j) steps along i by one small multiply
+    and one exact small divide, so each row entry costs one product by the
+    weight, which stays a few machine words while other[j] is small.
+
+    The fold merges a node's repeated children at once.  Children with
+    equal vectors P_i form a group of multiplicity c_i, and the L leaves
+    are the group (1 + x, L), its degree-1 case.  Q = prod P_i^c_i satisfies
+    D Q' = R Q, where D = prod P_i and R = sum_i c_i P_i' prod_{j != i} P_j
+    are built by rows (R <- R P + c P' D, then D <- D P).  As d[0] = 1, the
+    entries of Q follow one by one, exact and division-free:
+
+        q[m + 1] = sum_j q[m - j] (binom(m, j) r[j] - binom(m, j + 1) d[j + 1])
+
+    with binom(m, .) stepped by Pascal's rule.  Its deg Q steps cost about
+    deg Q * (deg R + deg D) products.  The fold takes the leaves and the
+    groups of two or more only when that is fewer than the row merges of
+    the same children, whose count the vector lengths fix: a root over
+    equally many chains of 1, 2 and 3 nodes then costs about 11n products
+    instead of O(n^2), while two equal 200-node subtrees stay with
+    rows, predicted 4x cheaper.  Without the fold the L leaves go first in
+    closed form, m actions drawn from them forming L!/(L - m)! sequences.
+    Every other child merges by rows.
 
     Vectors are kept reversed between nodes, so shifting in the node is an
     append and a lone inner child's vector is taken as it is: a chain costs
     O(n) in all.
     """
+    def merged(acc: list[int], other: list[int]) -> list[int]:
+        # the binomial convolution by rows of other (other[0] == 1) over
+        # acc; they swap only if acc[0] == 1 too, which the fold's R, led by
+        # the sum of the multiplicities, need not meet
+        if len(acc) < len(other) and acc[0] == 1:
+            acc, other = other, acc
+        out = acc + [0] * (len(other) - 1)
+        for j in range(1, len(other)):
+            w = other[j]  # other[j] * binom(i + j, j), here at i = 0
+            for i, a in enumerate(acc):
+                out[i + j] += a * w
+                w = w * (i + j + 1) // (i + 1)
+        return out
+
     n = t.size
     sizes = t.subtree_sizes()
     vecs: list[list[int] | None] = [None] * (n + 1)
@@ -182,22 +218,50 @@ def _prefix_counts(t: SyntaxTree) -> list[int]:
             vecs[v] = inner[0]
             continue
         acc = [1]
+        if len(inner) > 1:
+            # equal vectors have equal lengths, so only those are compared
+            groups: dict[int, list[list]] = {}
+            for vec in inner:
+                same = groups.setdefault(len(vec), [])
+                for g in same:
+                    if g[0] == vec:
+                        g[1] += 1
+                        break
+                else:
+                    same.append([vec, 1])
+            repeated = [g for same in groups.values() for g in same if g[1] > 1]
+            rows, width = 0, leaves + 1  # the row merges of the same children
+            deg = 1 if leaves else 0
+            for vec, k in repeated:
+                deg += len(vec) - 1
+                for _ in range(k):
+                    rows += (min(width, len(vec)) - 1) * max(width, len(vec))
+                    width += len(vec) - 1
+            # deg Q * (deg R + deg D) products, with deg R = deg D - 1
+            if repeated and (width - 1) * (2 * deg - 1) < rows:
+                parts = [(vec[::-1], k) for vec, k in repeated]
+                if leaves:
+                    parts.insert(0, ([1, 1], leaves))
+                    leaves = 0  # folded in here, not in closed form below
+                (p, k), *parts = parts
+                d, r = p, [k * a for a in p[1:]]
+                for p, k in parts:
+                    r = [a + k * b for a, b in zip(merged(r, p), merged(d, p[1:]))]
+                    d = merged(d, p)
+                binom = [1] + [0] * deg  # binom(m, j)
+                for m in range(width - 1):
+                    q = 0
+                    for j in range(min(m + 1, deg)):
+                        q += acc[m - j] * (binom[j] * r[j] - binom[j + 1] * d[j + 1])
+                    acc.append(q)
+                    for j in range(min(m + 1, deg), 0, -1):
+                        binom[j] += binom[j - 1]
+                inner = [g[0] for same in groups.values() for g in same if g[1] == 1]
         for k in range(leaves, 0, -1):
             acc.append(acc[-1] * k)
         for other in inner:
             other.reverse()
-            if len(acc) == 1:
-                acc = other
-                continue
-            if len(acc) < len(other):
-                acc, other = other, acc
-            merged = acc + [0] * (len(other) - 1)
-            for j in range(1, len(other)):
-                w = other[j]  # other[j] * binom(i + j, j), here at i = 0
-                for i, a in enumerate(acc):
-                    merged[i + j] += a * w
-                    w = w * (i + j + 1) // (i + 1)
-            acc = merged
+            acc = merged(acc, other)
         acc.reverse()
         acc.append(1)
         vecs[v] = acc

@@ -520,7 +520,17 @@ def test_seq_calls_through_the_modules(capsys, monkeypatch):
     counting("mean_width_asymptotic")
     assert run(capsys, "seq", "catalan", "--to", "5")[0] == 0
     assert run(capsys, "seq", "mean_width", "--to", "7")[0] == 0
-    assert calls == {"catalan": 5, "mean_width_asymptotic": 7}
+    # catalan steps its running product from the one call at the first index
+    assert calls == {"catalan": 1, "mean_width_asymptotic": 7}
+
+
+@pytest.mark.parametrize("name, value", [("catalan", counts.catalan),
+                                         ("increasing", counts.increasing_count)])
+def test_seq_steps_match_the_closed_forms(capsys, name, value):
+    code, out, _ = run(capsys, "seq", name, "--to", "300", "--format", "csv")
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert rows == [[str(n), str(value(n)), "1"] for n in range(1, 301)]
 
 
 # -- gen ------------------------------------------------------------------------------

@@ -217,6 +217,31 @@ def test_profile_matches_pairwise_structured_shapes():
         assert_matches_pairwise(t)
 
 
+def repeated(sub, k, leaves=(0, 0, 0)):
+    """Root over k copies of the shape with degree word sub, with
+    leaves[0] leaves before the copies, leaves[1] between the first two and
+    leaves[2] after the last."""
+    before, between, after = leaves
+    return trees.SyntaxTree.from_degree_word(
+        [k + sum(leaves)] + [0] * before + sub + [0] * between + sub * (k - 1) + [0] * after)
+
+
+def test_profile_matches_pairwise_repeated_children():
+    # equal sibling vectors fold together when that is cheaper than rows
+    for n in range(2, 8):
+        for shape in oracles.all_shapes(n):
+            sub = list(oracles.degree_word(shape))
+            for k in range(2, 9):
+                assert_matches_pairwise(repeated(sub, k, (1, 1, 1)))
+    uniform = list(sampling.uniform_random_tree(80, sampling.Rng(3)).degree_word())
+    for t in [repeated(uniform, 2),  # two equal 80-node subtrees: cheaper by rows
+              wide(600),
+              # a forest whose components repeat: three 2-chains, two cherries
+              trees.parse_process("a.b || c.(d || e) || f.g || k || h.(i || j) || l.m",
+                                  allow_forest=True)]:
+        assert_matches_pairwise(t)
+
+
 def test_profile_closed_forms_at_the_cap():
     # at the size cap, each well inside the time bound: a star's level l
     # counts the ordered choices of l of its n - 1 leaves, perm(n - 1, l),
@@ -236,6 +261,19 @@ def test_profile_closed_forms_at_the_cap():
     prof = profiles.level_profile(t)
     assert time.perf_counter() - start < 2.0
     assert prof == (1,) * n
+
+
+def test_profile_wide_at_the_cap():
+    # the root's equal chains fold in one pass, linear in n; merging them
+    # one at a time by rows took about 30 s (2-core x86_64, Python 3.11)
+    n = profiles.PROFILE_FAST_LIMIT
+    t = wide(n)
+    start = time.perf_counter()
+    prof = profiles.level_profile(t)
+    assert time.perf_counter() - start < 2.0
+    assert prof[0] == 1 and len(prof) == n
+    assert prof[1] == len(t.children(1))
+    assert prof[-1] == counts.hook_count(t)
 
 
 def test_profile_sums_match_level_means():
