@@ -144,6 +144,8 @@ COMMANDS = [
     ["profile", "--format", "csv", _term(_repeated(_random(9, 1), 12, 5))],
     ["profile", "--format", "json", _term(_repeated(_random(9, 1), 12, 5))],
     ["profile", "--format", "text", _term(_repeated(_random(60, 5), 2, 0))],
+    # 300 leaves beside two copies of a 60-node shape
+    ["profile", "--format", "csv", _term(_repeated(_random(60, 5), 2, 300))],
     # semantic
     ["semantic", REF],
     ["semantic", REF, "--format", "json"],
@@ -197,10 +199,17 @@ def main() -> int:
         print(f"wrote {len(entries)} entries to {CORPUS}")
         return 0
     entries = json.loads(CORPUS.read_text(encoding="utf-8"))
-    changed = [e["argv"] for e in entries if record(e["argv"]) != e]
-    for argv in changed:
-        print("changed:", json.dumps(argv, ensure_ascii=False))
-    print(f"{len(entries) - len(changed)} of {len(entries)} entries unchanged")
+    changed = 0
+    for old in entries:
+        new = record(old["argv"])
+        if new != old:
+            changed += 1
+            print("changed:", json.dumps(old["argv"], ensure_ascii=False))
+            for field in ("exit", "stdout_sha256", "stderr"):
+                if new[field] != old[field]:
+                    print(f"  {field}: {json.dumps(old[field], ensure_ascii=False)}"
+                          f" -> {json.dumps(new[field], ensure_ascii=False)}")
+    print(f"{len(entries) - changed} of {len(entries)} entries unchanged")
     return 1 if changed else 0
 
 

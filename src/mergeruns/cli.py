@@ -159,7 +159,10 @@ def _parse_term(args) -> trees.SyntaxTree:
         if args.term is not None:
             raise ValueError("give a term or --input, not both")
         with open(args.input, encoding="utf-8") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise ValueError(f"{args.input}: {exc}") from None
     elif args.term is not None:
         text = args.term
     else:

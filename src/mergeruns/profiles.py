@@ -120,13 +120,13 @@ def level_profile(t: SyntaxTree, method: str = "fast") -> tuple[int, ...]:
     method="fast" runs the binomial-convolution pass.  Its big-integer
     work is what the merges really need: the first merge at every node is
     free and every other merge by rows adds one row per entry of the
-    shorter vector, while a node's leaves and repeated children (equal
-    vectors) fold in one pass of an exact linear recurrence whenever that
-    is predicted to cost fewer products than their rows.  A star, a chain
-    or a root over many short equal chains thus costs O(n) products, and a
-    uniform shape still grows about 8x per doubling.  method="oracle"
-    enumerates admissible cuts and adds up their labellings per size,
-    exponential and for cross-checking only.
+    shorter vector, while a node's repeated children (equal vectors, its
+    leaves among them) fold in one pass of an exact linear recurrence
+    whenever that is predicted to cost fewer products than their rows.  A
+    star, a chain or a root over many short equal chains thus costs O(n)
+    products, and a uniform shape still grows about 8x per doubling.
+    method="oracle" enumerates admissible cuts and adds up their
+    labellings per size, exponential and for cross-checking only.
     """
     if method == "oracle":
         out = [0] * t.size
@@ -161,27 +161,27 @@ def _prefix_counts(t: SyntaxTree) -> list[int]:
     weight, which stays a few machine words while other[j] is small.
 
     The fold merges a node's repeated children at once.  Children with
-    equal vectors P_i form a group of multiplicity c_i, and the L leaves
-    are the group (1 + x, L), its degree-1 case.  Q = prod P_i^c_i satisfies
-    D Q' = R Q, where D = prod P_i and R = sum_i c_i P_i' prod_{j != i} P_j
-    are built by rows (R <- R P + c P' D, then D <- D P).  As d[0] = 1, the
-    entries of Q follow one by one, exact and division-free:
+    equal vectors P_i form a group of multiplicity c_i; a leaf's vector is
+    [1, 1], so L leaves are the group (1 + x, L) like any other, where the
+    recurrence below reduces to q[m + 1] = (L - m) q[m].  Q = prod P_i^c_i
+    satisfies D Q' = R Q, where D = prod P_i and R = sum_i c_i P_i'
+    prod_{j != i} P_j are built by rows (R <- R P + c P' D, then D <- D P).
+    As d[0] = 1, the entries of Q follow one by one, exact and
+    division-free:
 
         q[m + 1] = sum_j q[m - j] (binom(m, j) r[j] - binom(m, j + 1) d[j + 1])
 
     with binom(m, .) stepped by Pascal's rule.  Its deg Q steps cost about
-    deg Q * (deg R + deg D) products.  The fold takes the leaves and the
-    groups of two or more only when that is fewer than the row merges of
-    the same children, whose count the vector lengths fix: a root over
-    equally many chains of 1, 2 and 3 nodes then costs about 11n products
-    instead of O(n^2), while two equal 200-node subtrees stay with
-    rows, predicted 4x cheaper.  Without the fold the L leaves go first in
-    closed form, m actions drawn from them forming L!/(L - m)! sequences.
+    deg Q * (deg R + deg D) products.  The fold takes the groups of two or
+    more only when that is fewer than the row merges of the same children,
+    whose count the vector lengths fix: a root over equally many chains of
+    1, 2 and 3 nodes then costs about 11n products instead of O(n^2), while
+    two equal 200-node subtrees stay with rows, predicted 4x cheaper.
     Every other child merges by rows.
 
     Vectors are kept reversed between nodes, so shifting in the node is an
-    append and a lone inner child's vector is taken as it is: a chain costs
-    O(n) in all.
+    append and a lone child's vector is taken as it is: a chain costs O(n)
+    in all.
     """
     def merged(acc: list[int], other: list[int]) -> list[int]:
         # the binomial convolution by rows of other (other[0] == 1) over
@@ -201,27 +201,22 @@ def _prefix_counts(t: SyntaxTree) -> list[int]:
     sizes = t.subtree_sizes()
     vecs: list[list[int] | None] = [None] * (n + 1)
     for v in range(n, 0, -1):
-        leaves = 0
-        inner = []
+        kids = []
         c = v + 1  # the children: v + 1, then each id past the last one's subtree
         end = v + sizes[v - 1]
         while c < end:
-            s = sizes[c - 1]
-            if s == 1:
-                leaves += 1
-            else:
-                inner.append(vecs[c])
+            kids.append(vecs[c])
             vecs[c] = None  # free as we go, vectors get long
-            c += s
-        if not leaves and len(inner) == 1:
-            inner[0].append(1)
-            vecs[v] = inner[0]
+            c += sizes[c - 1]
+        if len(kids) == 1:
+            kids[0].append(1)
+            vecs[v] = kids[0]
             continue
         acc = [1]
-        if len(inner) > 1:
+        if len(kids) > 1:
             # equal vectors have equal lengths, so only those are compared
             groups: dict[int, list[list]] = {}
-            for vec in inner:
+            for vec in kids:
                 same = groups.setdefault(len(vec), [])
                 for g in same:
                     if g[0] == vec:
@@ -230,8 +225,7 @@ def _prefix_counts(t: SyntaxTree) -> list[int]:
                 else:
                     same.append([vec, 1])
             repeated = [g for same in groups.values() for g in same if g[1] > 1]
-            rows, width = 0, leaves + 1  # the row merges of the same children
-            deg = 1 if leaves else 0
+            rows, width, deg = 0, 1, 0  # the row merges of the same children
             for vec, k in repeated:
                 deg += len(vec) - 1
                 for _ in range(k):
@@ -239,11 +233,7 @@ def _prefix_counts(t: SyntaxTree) -> list[int]:
                     width += len(vec) - 1
             # deg Q * (deg R + deg D) products, with deg R = deg D - 1
             if repeated and (width - 1) * (2 * deg - 1) < rows:
-                parts = [(vec[::-1], k) for vec, k in repeated]
-                if leaves:
-                    parts.insert(0, ([1, 1], leaves))
-                    leaves = 0  # folded in here, not in closed form below
-                (p, k), *parts = parts
+                (p, k), *parts = [(vec[::-1], k) for vec, k in repeated]
                 d, r = p, [k * a for a in p[1:]]
                 for p, k in parts:
                     r = [a + k * b for a, b in zip(merged(r, p), merged(d, p[1:]))]
@@ -251,15 +241,12 @@ def _prefix_counts(t: SyntaxTree) -> list[int]:
                 binom = [1] + [0] * deg  # binom(m, j)
                 for m in range(width - 1):
                     q = 0
-                    for j in range(min(m + 1, deg)):
+                    for j in range(min(m + 1, deg) - 1, -1, -1):
                         q += acc[m - j] * (binom[j] * r[j] - binom[j + 1] * d[j + 1])
+                        binom[j + 1] += binom[j]  # to binom(m + 1, j + 1), once read
                     acc.append(q)
-                    for j in range(min(m + 1, deg), 0, -1):
-                        binom[j] += binom[j - 1]
-                inner = [g[0] for same in groups.values() for g in same if g[1] == 1]
-        for k in range(leaves, 0, -1):
-            acc.append(acc[-1] * k)
-        for other in inner:
+                kids = [g[0] for same in groups.values() for g in same if g[1] == 1]
+        for other in kids:
             other.reverse()
             acc = merged(acc, other)
         acc.reverse()

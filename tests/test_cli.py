@@ -583,6 +583,14 @@ def test_missing_input_file(capsys):
     assert code == 1 and "No such file" in err
 
 
+def test_input_file_not_utf8(tmp_path, capsys):
+    f = tmp_path / "term.txt"
+    f.write_bytes(b"\xff a.b")
+    code, out, err = run(capsys, "count", "--input", str(f))
+    assert code == 1 and out == ""
+    assert str(f) in err and "can't decode byte 0xff" in err
+
+
 def test_missing_term(capsys):
     code, _, err = run(capsys, "count")
     assert code == 1 and "required" in err

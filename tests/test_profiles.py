@@ -233,6 +233,17 @@ def test_profile_matches_pairwise_repeated_children():
             sub = list(oracles.degree_word(shape))
             for k in range(2, 9):
                 assert_matches_pairwise(repeated(sub, k, (1, 1, 1)))
+    # leaves are the group of vectors [1, 1]: beside two equal 40-node
+    # subtrees the fold is declined and they merge by rows, beside 12 equal
+    # 3-node chains they fold with the chains, and a single leaf is merged
+    # by rows after the fold
+    uniform = list(sampling.uniform_random_tree(40, sampling.Rng(5)).degree_word())
+    for leaves in (1, 2, 3, 7, 40):
+        spread = (leaves // 3, leaves // 3, leaves - 2 * (leaves // 3))
+        assert_matches_pairwise(repeated(uniform, 2, spread))
+        assert_matches_pairwise(repeated([1, 1, 0], 12, spread))
+    assert_matches_pairwise(trees.SyntaxTree.from_degree_word(
+        [13] + [2, 0, 0] * 6 + [0] + [1, 0] * 6))
     uniform = list(sampling.uniform_random_tree(80, sampling.Rng(3)).degree_word())
     for t in [repeated(uniform, 2),  # two equal 80-node subtrees: cheaper by rows
               wide(600),
