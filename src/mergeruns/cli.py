@@ -60,6 +60,14 @@ SEQ_TABLE = {
 }
 
 
+class _Version(argparse._VersionAction):
+    # the version text names the rng, read when --version is given, so
+    # building the parser loads no library module
+    def __call__(self, parser, namespace, values, option_string=None):
+        self.version = f"mergeruns {__version__} (rng {sampling.RNG_ALGORITHM})"
+        super().__call__(parser, namespace, values, option_string)
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; this tool reserves 2 for budget
     # overruns, so usage problems are remapped to 1
@@ -73,8 +81,7 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="mergeruns",
                 description="Exact counting, profiling and sampling of interleaved runs.")
-    p.add_argument("--version", action="version",
-                   version=f"mergeruns {__version__} (rng {sampling.RNG_ALGORITHM})")
+    p.add_argument("--version", action=_Version)
     sub = p.add_subparsers(dest="command", required=True)
 
     def term_args(sp):
@@ -110,7 +117,7 @@ def _build_parser() -> _Parser:
 
     sp = sub.add_parser("semantic", help="expand the explicit computation tree")
     term_args(sp)
-    sp.add_argument("--budget", type=int, default=trees.SEMANTIC_NODE_BUDGET,
+    sp.add_argument("--budget", type=int,  # None: trees.SEMANTIC_NODE_BUDGET
                     help="maximum node count to materialize")
     sp.add_argument("--format", choices=["dot", "json", "text"], default="dot")
 
@@ -314,9 +321,10 @@ def _cmd_profile(args) -> int:
 
 def _cmd_semantic(args) -> int:
     t = _parse_term(args)
-    if args.budget < 1:
+    budget = trees.SEMANTIC_NODE_BUDGET if args.budget is None else args.budget
+    if budget < 1:
         raise ValueError("--budget must be at least 1")
-    sem = trees.build_semantic_tree(t, node_budget=args.budget)
+    sem = trees.build_semantic_tree(t, node_budget=budget)
     if args.format == "json":
         print(json.dumps({"nodes": sem.node_count,
                           "branches": sem.leaf_count(),

@@ -14,14 +14,15 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 try:
     from gmpy2 import mpz
 except ImportError:  # pragma: no cover - exercised only without gmpy2
     mpz = int
 
-from .trees import SyntaxTree
+if TYPE_CHECKING:  # annotations only: running counts does not run trees
+    from .trees import SyntaxTree
 
 
 class Approx(NamedTuple):

@@ -33,13 +33,16 @@ class Rng:
 
     randrange rejects by getrandbits, so draws are unbiased at any size;
     stream(i) derives an independent child generator deterministically.
-    Seeds are non-negative: random.Random drops the sign of an int seed, so
-    a negative one would alias its absolute value.
+    Seeds are non-negative ints: random.Random drops the sign of an int
+    seed, so a negative one would alias its absolute value, and it seeds a
+    float or a bool by its value, so 2.0 would alias 2 and True 1.
     """
 
     __slots__ = ("seed", "_r")
 
     def __init__(self, seed: int):
+        if type(seed) is not int:
+            raise TypeError(f"seed must be an int, got {seed!r}")
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")
         self.seed = seed

@@ -675,22 +675,120 @@ print(json.dumps(loaded))
 """
 
 
+def _fresh_python(script: str, *args: str):
+    """What a fresh interpreter running script with args prints, as JSON."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 def test_cli_import_leaves_numpy_out():
     # a fresh interpreter: start-up and the commands that do not compute
     # with mpmath must not pay for it, nor for dataclasses (which imports
     # inspect) or numpy; seq mean_width is the lazy route that loads mpmath
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     mean_width = ["seq", "mean_width", "--to", "5"]
-    proc = subprocess.run(
-        [sys.executable, "-c", GUARD_SCRIPT, json.dumps(LIGHT_COMMANDS + [mean_width])],
-        capture_output=True, text=True, env=env,
-    )
-    assert proc.returncode == 0, proc.stderr
-    loaded = json.loads(proc.stdout)
+    loaded = _fresh_python(GUARD_SCRIPT, json.dumps(LIGHT_COMMANDS + [mean_width]))
     assert loaded.pop(" ".join(mean_width)) == ["mpmath"]
     assert loaded == {"import": [], **{" ".join(argv): [] for argv in LIGHT_COMMANDS}}
+
+
+# -- lazy library modules -------------------------------------------------------------
+# A lazy module sits in sys.modules before its body runs; it has run once
+# its type is the plain module type.
+
+RAN_SCRIPT = """
+import contextlib, io, json, sys, types
+from mergeruns import cli
+argv = json.loads(sys.argv[1])
+if argv is not None:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run_cli(argv) == 0, argv
+print(json.dumps([name for name in ("trees", "counts", "profiles", "sampling")
+                  if type(sys.modules["mergeruns." + name]) is types.ModuleType]))
+"""
+
+RUNS_SAMPLING = ["trees", "counts", "sampling"]
+RUNS_PROFILES = ["trees", "counts", "profiles"]
+
+
+@pytest.mark.parametrize("argv, ran", [
+    (None, []),  # import mergeruns.cli alone
+    (["--version"], RUNS_SAMPLING),  # its text names sampling.RNG_ALGORITHM
+    (["seq", "catalan", "--to", "5"], ["counts"]),
+    (["seq", "mean_width", "--to", "5"], ["counts"]),
+    (["count", TERM], RUNS_SAMPLING),
+    (["prob", TERM, "--prefix", "a,b,d"], RUNS_SAMPLING),
+    (["sample", TERM, "--samples", "3"], RUNS_SAMPLING),
+    (["gen", "--size", "9"], RUNS_SAMPLING),
+    (["profile", TERM], RUNS_PROFILES),
+    (["profile", TERM, "--oracle"], RUNS_PROFILES),
+    (["semantic", TERM], RUNS_PROFILES),
+    (["seq", "m_cuts", "--to", "6"], RUNS_PROFILES),
+    (["selftest"], ["trees", "counts", "profiles", "sampling"]),
+])
+def test_each_command_runs_only_the_modules_it_uses(argv, ran):
+    assert _fresh_python(RAN_SCRIPT, json.dumps(argv)) == ran
+
+
+PUBLIC_NAMES = {
+    "trees": ["BudgetError", "FOREST_ROOT_LABEL", "ParseError", "SemanticTree",
+              "SuspendedView", "SyntaxTree", "build_semantic_tree", "degree_sequence_of_tree",
+              "enumerate_trees", "parse_process", "suspended_view",
+              "tree_from_degree_sequence", "validate_run_prefix"],
+    "counts": ["Approx", "asymptotic_size", "catalan", "cumulative_size",
+               "geometric_mean_width", "hook_count", "increasing_count", "log_constant_L",
+               "mean_level_width", "mean_size", "mean_width", "mean_width_asymptotic",
+               "nonplane_count", "r_sequence"],
+    "profiles": ["AdmissibleCut", "count_admissible_cuts", "cut_count_sequence",
+                 "enumerate_admissible_cuts", "level_profile", "limit_profile",
+                 "limit_profile_error_bound", "semantic_size"],
+    "sampling": ["PartialSumTree", "Rng", "count_runs_via_probability",
+                 "prefix_probability", "sample_run", "uniform_random_tree"],
+}
+
+
+def test_package_serves_its_public_names_from_their_modules():
+    import mergeruns
+
+    modules = {"trees": trees, "counts": counts, "profiles": profiles, "sampling": sampling}
+    names = sorted(name for names in PUBLIC_NAMES.values() for name in names)
+    assert len(names) == 41 and sorted(mergeruns.__all__) == names
+    star = {}
+    exec("from mergeruns import *", star)
+    listed = set(dir(mergeruns))
+    for module, module_names in PUBLIC_NAMES.items():
+        for name in module_names:
+            obj = getattr(modules[module], name)
+            assert getattr(mergeruns, name) is obj and star[name] is obj
+            assert name in listed
+    with pytest.raises(AttributeError, match="module 'mergeruns' has no attribute 'nope'"):
+        mergeruns.nope
+
+
+PACKAGE_SCRIPT = """
+import json, sys, types
+def ran():
+    return [name for name in ("trees", "counts", "profiles", "sampling")
+            if type(sys.modules["mergeruns." + name]) is types.ModuleType]
+import mergeruns
+seen = {"import mergeruns": ran()}
+import mergeruns.cli
+# the read perfbench/spans.py makes to wrap a function
+fn = getattr(sys.modules["mergeruns.profiles"], "level_profile")
+seen["level_profile"] = [fn.__module__, fn.__name__, ran()]
+print(json.dumps(seen))
+"""
+
+
+def test_package_import_runs_no_library_module():
+    assert _fresh_python(PACKAGE_SCRIPT) == {
+        "import mergeruns": [],
+        "level_profile": ["mergeruns.profiles", "level_profile", RUNS_PROFILES],
+    }
 
 
 class _CountingSink:

@@ -75,6 +75,14 @@ def test_rng_rejects_negative_seeds():
         sampling.Rng(-3)
 
 
+@pytest.mark.parametrize("seed", [2.0, True, False, "2", None])
+def test_rng_rejects_seeds_that_are_not_ints(seed):
+    # random.Random seeds a float or a bool by its value, so Rng(2.0) would
+    # draw as Rng(2) and Rng(True) as Rng(1)
+    with pytest.raises(TypeError):
+        sampling.Rng(seed)
+
+
 def test_rng_repr():
     assert sampling.RNG_ALGORITHM in repr(sampling.Rng(3))
 
