@@ -12,6 +12,8 @@ import importlib.util as _util
 import sys as _sys
 
 __version__ = "0.1.0"
+# the generator Rng runs, named by --version and Rng's repr
+RNG_ALGORITHM = "mt19937"
 
 # the public names, by the module that defines them
 _EXPORTS = {

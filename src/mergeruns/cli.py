@@ -22,7 +22,7 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 
-from . import __version__
+from . import RNG_ALGORITHM, __version__
 from . import counts, profiles, sampling, trees
 
 SCI_SUFFIX_THRESHOLD = 10 ** 9
@@ -60,14 +60,6 @@ SEQ_TABLE = {
 }
 
 
-class _Version(argparse._VersionAction):
-    # the version text names the rng, read when --version is given, so
-    # building the parser loads no library module
-    def __call__(self, parser, namespace, values, option_string=None):
-        self.version = f"mergeruns {__version__} (rng {sampling.RNG_ALGORITHM})"
-        super().__call__(parser, namespace, values, option_string)
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with 2 on bad usage; this tool reserves 2 for budget
     # overruns, so usage problems are remapped to 1
@@ -81,7 +73,8 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     p = _Parser(prog="mergeruns",
                 description="Exact counting, profiling and sampling of interleaved runs.")
-    p.add_argument("--version", action=_Version)
+    p.add_argument("--version", action="version",
+                   version=f"mergeruns {__version__} (rng {RNG_ALGORITHM})")
     sub = p.add_subparsers(dest="command", required=True)
 
     def term_args(sp):

@@ -14,10 +14,9 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import RNG_ALGORITHM
 from .counts import _ratio
 from .trees import SyntaxTree, validate_run_prefix
-
-RNG_ALGORITHM = "mt19937"
 
 # a Fraction from a pair already in lowest terms, skipping the gcd the
 # constructor would take (quadratic in the operand length)
@@ -31,8 +30,9 @@ except AttributeError:  # Python 3.10 and 3.11
 class Rng:
     """Seeded source of uniform integers (Mersenne Twister underneath).
 
-    randrange rejects by getrandbits, so draws are unbiased at any size;
-    stream(i) derives an independent child generator deterministically.
+    Every draw below m takes k = m.bit_length() bits from getrandbits and
+    draws again while the value is m or more, so draws are unbiased at any
+    size; stream(i) derives an independent child generator deterministically.
     Seeds are non-negative ints: random.Random drops the sign of an int
     seed, so a negative one would alias its absolute value, and it seeds a
     float or a bool by its value, so 2.0 would alias 2 and True 1.
@@ -49,22 +49,40 @@ class Rng:
         self._r = random.Random(seed)
 
     def uniform_int(self, upper: int) -> int:
-        """Uniform integer in 1..upper inclusive."""
+        """Uniform integer in 1..upper inclusive.
+
+        The rejection loop of random.Random._randbelow_with_getrandbits,
+        run over the public getrandbits: the draws and the generator state
+        are those of randrange(upper) + 1, without its two Python frames.
+        """
         if upper < 1:
             raise ValueError("upper must be at least 1")
-        return self._r.randrange(upper) + 1
+        getrandbits = self._r.getrandbits
+        k = upper.bit_length()
+        r = getrandbits(k)
+        while r >= upper:
+            r = getrandbits(k)
+        return r + 1
 
     def subset(self, population: int, k: int) -> list[int]:
         """Sorted uniform k-subset of {0, ..., population - 1}.
 
-        Partial Fisher-Yates over the full pool: the draw sequence is fixed
-        by the seed alone, independent of interpreter version.
+        Partial Fisher-Yates over the full pool, each swap index drawn by
+        uniform_int's rejection loop over getrandbits: the draw sequence is
+        fixed by the seed and MT19937's core alone, independent of
+        interpreter version.
         """
         if not 0 <= k <= population:
             raise ValueError("need 0 <= k <= population")
+        getrandbits = self._r.getrandbits
         pool = list(range(population))
         for i in range(k):
-            j = i + self._r.randrange(population - i)
+            m = population - i
+            bits = m.bit_length()
+            r = getrandbits(bits)
+            while r >= m:
+                r = getrandbits(bits)
+            j = i + r
             pool[i], pool[j] = pool[j], pool[i]
         return sorted(pool[:k])
 
@@ -232,10 +250,17 @@ def sample_run(t: SyntaxTree, rng: Rng) -> tuple[int, ...]:
     slot v - 1, the children of slot i are 2i + 1 and 2i + 2,
     ``weights[i]`` is the slot's own weight and ``below[i]`` its subtree's
     sum.  A draw x = rng.uniform_int(total) descends through the left
-    subtree, then the slot, then the right subtree, and every weight change
-    walks one root path, exactly as PartialSumTree.sample and .update do,
-    so the runs and the generator's state afterwards equal those of the
-    same procedure on a PartialSumTree.  It is inlined because a run
+    subtree, then the slot, then the right subtree, exactly as
+    PartialSumTree.sample does.  The drawn slot i is retired at the start
+    of the next round, together with enabling the new action's first
+    child, which sits in slot i + 1: the two root paths are walked up
+    together, the larger index moving up each time, i's side losing the
+    drawn weight and the child's side gaining its own, and from the slot
+    where they meet up to the root the net change is added once.  The other
+    children, and a drawn leaf's retirement, walk one root path each as
+    PartialSumTree.update does.  The sums before every draw are those of
+    the same procedure on a PartialSumTree, so the runs and the generator's
+    state afterwards equal that route's.  It is inlined because a run
     would otherwise build one tree object and make a method call per heap
     level, which cost about half the sampler's time.
     """
@@ -245,19 +270,48 @@ def sample_run(t: SyntaxTree, rng: Rng) -> tuple[int, ...]:
     weights = [0] * n
     below = [0] * n
     run = [1]  # the root is the only enabled action, no randomness spent
-    v = 1
+    # the action drawn last and its weight: the root, in slot 0 at weight 0,
+    # so retiring it changes no sum
+    i = w = 0
     for p in range(2, n + 1):
-        c = v + 1  # enable the last action's children, as SyntaxTree.children walks them
-        end = v + sizes[v - 1]
-        while c < end:
-            i = c - 1
-            w = sizes[i]
-            c += w
-            weights[i] = w
-            below[i] += w
+        # retire slot i and enable action v = i + 1's children, as
+        # SyntaxTree.children walks them
+        weights[i] = 0
+        c = i + 2
+        end = i + 1 + sizes[i]
+        if c < end:
+            # the first child, in slot b = i + 1: both paths up to where
+            # they meet, then the net change on up to the root
+            b = i + 1
+            cw = sizes[b]
+            weights[b] = cw
+            c += cw
+            while i != b:
+                if i < b:
+                    below[b] += cw
+                    b = (b - 1) >> 1
+                else:
+                    below[i] -= w
+                    i = (i - 1) >> 1
+            d = cw - w
+            below[i] += d
             while i:
                 i = (i - 1) >> 1
-                below[i] += w
+                below[i] += d
+            while c < end:
+                i = c - 1
+                cw = sizes[i]
+                c += cw
+                weights[i] = cw
+                below[i] += cw
+                while i:
+                    i = (i - 1) >> 1
+                    below[i] += cw
+        else:
+            below[i] -= w
+            while i:
+                i = (i - 1) >> 1
+                below[i] -= w
         total = below[0]
         assert total == n - p + 1
         x = draw(total)
@@ -275,14 +329,7 @@ def sample_run(t: SyntaxTree, rng: Rng) -> tuple[int, ...]:
                 break
             x -= w
             i = left + 1
-        # retire the drawn action
-        weights[i] = 0
-        v = i + 1
-        below[i] -= w
-        while i:
-            i = (i - 1) >> 1
-            below[i] -= w
-        run.append(v)
+        run.append(i + 1)
     return tuple(run)
 
 

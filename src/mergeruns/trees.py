@@ -22,7 +22,9 @@ SEMANTIC_NODE_BUDGET = 10 ** 6
 # most sampling steps one `sample` or `gen` command may take: runs times
 # actions drawn per run, or shapes times nodes per shape.  Every format prints
 # each run or shape as it is drawn, so this bounds time, not memory: 10^6 steps
-# took 2-8 s at 16 MB max RSS on a 2-core x86_64 (`sample` JSON the slowest).
+# took 0.9-3 s at 16 MB max RSS on a shared 2-core x86_64 with Python 3.11
+# (`gen` the fastest), and 10 s for `sample a.b --samples 10^6 --format json`,
+# which writes one JSON record per step.
 SAMPLING_STEP_BUDGET = 10 ** 7
 FOREST_ROOT_LABEL = "#root"
 
@@ -89,6 +91,21 @@ class SyntaxTree:
     # -- construction -----------------------------------------------------
 
     @classmethod
+    def _from_preorder(cls, labels: tuple[str, ...], parents: Sequence[int]) -> "SyntaxTree":
+        """The tree of arrays its builder has already numbered in preorder.
+
+        For parse_process and from_degree_word, which place each node under
+        a node on the path from the root to the node before it, so the
+        arrays hold the invariant __init__ would walk them to check.  The
+        caller passes labels as a tuple of the same length as parents.
+        """
+        tree = object.__new__(cls)
+        tree._labels = labels
+        tree._parents = tuple(parents)
+        tree._sizes = None
+        return tree
+
+    @classmethod
     def from_degree_word(cls, degrees: Sequence[int], labels: Sequence[str] | None = None) -> "SyntaxTree":
         """Build the tree whose prefix-traversal node degrees are ``degrees``.
 
@@ -113,7 +130,10 @@ class SyntaxTree:
                 break
             slots += [v] * d
         else:
-            return cls(default_labels(n) if labels is None else labels, parents)
+            labels = tuple(default_labels(n) if labels is None else labels)
+            if len(labels) != n:
+                raise ValueError("labels and parents must have equal length")
+            return cls._from_preorder(labels, parents)
         # more open slots than nodes left: no later node closes the word, so
         # the fault is a later negative degree or else the slots left open
         # (never stored, so a huge degree costs no memory)
@@ -365,7 +385,7 @@ def parse_process(text: str, allow_forest: bool = False) -> SyntaxTree:
         raise _parse_error(text, allow_forest, end, "expected an action name or '('")
     if frames:
         raise _parse_error(text, allow_forest, end, "unclosed '('")
-    return SyntaxTree(labels, parents)
+    return SyntaxTree._from_preorder(tuple(labels), parents)
 
 
 def _parse_error(text: str, allow_forest: bool, index: int, message: str) -> ParseError:

@@ -1,6 +1,7 @@
 """Randomized machinery: weighted multisets, run sampling, shape sampling."""
 
 import math
+import random
 import tracemalloc
 from fractions import Fraction
 
@@ -81,6 +82,35 @@ def test_rng_rejects_seeds_that_are_not_ints(seed):
     # draw as Rng(2) and Rng(True) as Rng(1)
     with pytest.raises(TypeError):
         sampling.Rng(seed)
+
+
+def _stream_bounds():
+    """Small bounds, the bounds either side of 2^8 and of every 2^k up to
+    k = 69, and two past any machine word."""
+    yield from range(1, 11)
+    yield from (255, 256, 257)
+    for k in range(1, 70):
+        yield from (2 ** k - 1, 2 ** k, 2 ** k + 1)
+    yield from (10 ** 40, 3 ** 200)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2024])
+def test_rng_draws_the_standard_library_stream(seed):
+    # uniform_int and subset run randrange's rejection loop over getrandbits
+    # themselves; the PartialSumTree oracle draws through uniform_int too, so
+    # only the standard library's own randrange can catch a changed stream
+    rng, ref = sampling.Rng(seed), random.Random(seed)
+    for m in _stream_bounds():
+        for _ in range(4):
+            assert rng.uniform_int(m) == ref.randrange(m) + 1, m
+        assert rng._r.getstate() == ref.getstate(), m
+    for population, k in [(0, 0), (1, 1), (5, 2), (10, 10), (257, 100), (2 ** 16 + 1, 40), (10 ** 5, 3)]:
+        pool = list(range(population))
+        for i in range(k):
+            j = i + ref.randrange(population - i)
+            pool[i], pool[j] = pool[j], pool[i]
+        assert rng.subset(population, k) == sorted(pool[:k]), (population, k)
+        assert rng._r.getstate() == ref.getstate(), (population, k)
 
 
 def test_rng_repr():
@@ -433,6 +463,21 @@ def test_sample_run_matches_partial_sum_tree_shapes():
     for n in (9, 30, 120, 500, 3000):
         t = sampling.uniform_random_tree(n, rng)
         _same_draws(t, n, 2)
+
+
+def test_sample_run_matches_partial_sum_tree_at_heap_level_boundaries():
+    # the drawn slot i and its first child's slot i + 1 are walked up
+    # together; where i + 1 = 2^k - 1 opens a new heap level, the two paths
+    # meet only at the root.  A chain draws every slot in turn, so it crosses
+    # each such boundary; n just under, at and over a power of two leaves the
+    # last heap level nearly full, full, or holding one slot
+    rng = sampling.Rng(12)
+    for k in range(1, 12):
+        for n in (2 ** k - 1, 2 ** k, 2 ** k + 1):
+            chain = trees.SyntaxTree.from_degree_word([1] * (n - 1) + [0])
+            star = trees.SyntaxTree.from_degree_word([n - 1] + [0] * (n - 1))
+            for t in (chain, star, sampling.uniform_random_tree(n, rng)):
+                _same_draws(t, n, 2)
 
 
 def test_sampled_run_probability_is_uniform():

@@ -109,6 +109,39 @@ def test_constructor_error_priority():
         _check_against_reference(parents)
 
 
+# -- builders that number their nodes in preorder themselves --------------------
+
+def test_preorder_builders_match_the_validating_constructor():
+    # parse_process and from_degree_word skip the constructor's preorder
+    # check: every shape of up to 9 nodes, its forest form when the root
+    # has two or more children, and uniform shapes up to 2000 nodes
+    rng = sampling.Rng(61)
+    shapes = [t for n in range(1, 10) for t in trees.enumerate_trees(n)]
+    shapes += [sampling.uniform_random_tree(n, rng) for n in (10, 50, 300, 2000) for _ in range(3)]
+    forests = 0
+    for t in shapes:
+        word = t.degree_word()
+        built = [(t.labels, trees.parse_process(t.to_term())),
+                 (t.labels, trees.SyntaxTree.from_degree_word(word, t.labels))]
+        if word[0] > 1:
+            labels = (trees.FOREST_ROOT_LABEL,) + t.labels[1:]
+            forest = trees.SyntaxTree.from_degree_word(word, labels)
+            built += [(labels, forest), (labels, trees.parse_process(forest.to_term(), allow_forest=True))]
+            forests += 1
+        for labels, b in built:
+            checked = trees.SyntaxTree(labels, [t.parent(v) for v in range(1, t.size + 1)])
+            assert b == checked and hash(b) == hash(checked)
+            assert type(b._labels) is type(b._parents) is tuple
+            assert b.subtree_sizes() == checked.subtree_sizes()
+    assert forests > 1000
+
+
+def test_degree_word_refuses_a_wrong_label_count():
+    for labels in (["a"], ["a", "b"], ["a", "b", "c", "d"]):
+        with pytest.raises(ValueError, match="^labels and parents must have equal length$"):
+            trees.SyntaxTree.from_degree_word([2, 0, 0], labels)
+
+
 # -- the parser against the original one ----------------------------------------
 
 _SPACES = ["", " ", "  ", "\t", "\n", "\u00a0", "\u2003"]
