@@ -268,14 +268,15 @@ def _cmd_sample(args) -> int:
     tokens = [""] + [f"{label}#{v}" for v, label in enumerate(t.labels, start=1)]
     if args.format == "json":
         sizes = t.subtree_sizes()
+        quoted = [json.dumps(tok) for tok in tokens]  # each token's JSON string, made once
 
-        def record(run) -> str:
+        def record(run) -> str:  # json.dumps(..., sort_keys=True) of the run's record
             steps = []
             for k, v in enumerate(run):  # v drawn with probability |T(v)| / (n - k)
                 g = math.gcd(sizes[v - 1], n - k)
-                steps.append([sizes[v - 1] // g, (n - k) // g])
-            return (f'{{"actions": {json.dumps([tokens[v] for v in run])}, '
-                    f'"step_probabilities": {json.dumps(steps)}}}')
+                steps.append(f"[{sizes[v - 1] // g}, {(n - k) // g}]")
+            return (f'{{"actions": [{", ".join([quoted[v] for v in run])}], '
+                    f'"step_probabilities": [{", ".join(steps)}]}}')
 
         head = "{"
         if args.freq:  # "frequency" sorts before "runs": its tally takes a pass of its own
@@ -297,7 +298,14 @@ def _cmd_sample(args) -> int:
 
 def _cmd_profile(args) -> int:
     t = _parse_term(args)
-    prof = profiles.level_profile(t, method="oracle" if args.oracle else "fast")
+    if args.oracle:
+        # the admissible-cut enumeration, exponential and for cross-checking:
+        # each cut's labellings count the prefixes of its size
+        prof = [0] * t.size
+        for cut in profiles.enumerate_admissible_cuts(t):
+            prof[cut.size - 1] += cut.labellings
+    else:
+        prof = profiles.level_profile(t)
     if args.format == "json":
         # math.log10 takes an int of any size, where float(c) overflows
         print(json.dumps({"levels": list(prof),

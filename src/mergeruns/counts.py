@@ -4,9 +4,6 @@ Everything exact is integer or Fraction arithmetic; everything approximate
 returns an Approx carrying a certified or heuristic error bound.  The
 factorially large values here (run counts easily exceed 10^36 by n = 40)
 stay exact, which is the point of the package.
-
-gmpy2 is used for the big multiplications when available and silently
-skipped otherwise; results are identical either way.
 """
 
 from __future__ import annotations
@@ -15,11 +12,6 @@ import math
 from fractions import Fraction
 from itertools import compress
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
-
-try:
-    from gmpy2 import mpz
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    mpz = int
 
 if TYPE_CHECKING:  # annotations only: running counts does not run trees
     from .trees import SyntaxTree
@@ -53,10 +45,10 @@ def _product(factors: Sequence[int]) -> int:
     Runs of 64 are multiplied in turn, then the partial products pairwise,
     which keeps the big operands of comparable size.
     """
-    items = [mpz(math.prod(factors[i:i + 64])) for i in range(0, len(factors), 64)]
+    items = [math.prod(factors[i:i + 64]) for i in range(0, len(factors), 64)]
     while len(items) > 1:
         items = [math.prod(items[i:i + 2]) for i in range(0, len(items), 2)]
-    return int(items[0]) if items else 1
+    return items[0] if items else 1
 
 
 def catalan(n: int) -> int:
@@ -134,10 +126,10 @@ def _prime_power_product(primes: list[int], exponents: list[int]) -> int:
                 layers[i].append(p)
             e >>= 1
             i += 1
-    out = mpz(1)
+    out = 1
     for layer in reversed(layers):
         out = out * out * _product(layer)
-    return int(out) << shift
+    return out << shift
 
 
 def hook_count(t: SyntaxTree) -> int:
@@ -227,18 +219,15 @@ def cumulative_size(n: int) -> int:
 def r_sequence(N: int) -> list[Fraction]:
     """Normalized sizes R_n = mean_size(n) 2^(n-1) / n! for n = 0..N.
 
-    Computed by its own recurrence, not by normalizing mean_size, so the two
-    routes can be checked against each other.
+    The scale 2^(n-1) / n! steps by 2 / (n + 1) from n to n + 1; the tests
+    hold the result to R_n's own recurrence.
     """
     if N < 3:
         raise ValueError("need N >= 3")
-    r = [Fraction(0), Fraction(1), Fraction(2)]
-    for k in range(0, N - 2):
-        b0 = -16 * k
-        b1 = 4 * (4 * k ** 2 + 12 * k + 3)
-        b2 = -2 * (2 * k ** 3 + 18 * k ** 2 + 31 * k + 13)
-        b3 = 4 * k ** 3 + 20 * k ** 2 + 31 * k + 15
-        r.append(-(b0 * r[k] + b1 * r[k + 1] + b2 * r[k + 2]) / b3)
+    r, scale = [], Fraction(1, 2)
+    for n in range(N + 1):
+        r.append(mean_size(n) * scale)
+        scale = scale * 2 / (n + 1)
     return r
 
 

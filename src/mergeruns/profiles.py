@@ -71,10 +71,12 @@ def enumerate_admissible_cuts(t: SyntaxTree) -> list[AdmissibleCut]:
 
     decorated = []
     for nodes in cuts_of(1):
-        # member ids ascending are the induced subtree's preorder; a member's
-        # parent is the member at its position (0 for the root's parent)
+        # member ids ascending are the induced subtree's preorder, so the
+        # shape needs no preorder check; a member's parent is the member at
+        # its position (0 for the root's parent)
         position = dict(zip((0, *nodes), range(len(nodes) + 1)))
-        shape = SyntaxTree([t.label(v) for v in nodes], [position[t.parent(v)] for v in nodes])
+        shape = SyntaxTree._from_preorder(tuple([t.label(v) for v in nodes]),
+                                          [position[t.parent(v)] for v in nodes])
         decorated.append(AdmissibleCut(shape, nodes, hook_count(shape)))
     decorated.sort(key=lambda c: (-c.size, c.shape.degree_word(), c.nodes))
     return decorated
@@ -110,31 +112,22 @@ def cut_count_sequence(N: int) -> list[int]:
     return seq
 
 
-def level_profile(t: SyntaxTree, method: str = "fast") -> tuple[int, ...]:
+def level_profile(t: SyntaxTree) -> tuple[int, ...]:
     """Number of run prefixes of each length; entry at depth l counts l + 1.
 
     Indexing: depth 0 = the bare root (always count 1); the deepest entry,
     depth n - 1, equals the complete-run count.  Counting i levels up from
     the deepest one instead, the entry at depth l has i = n - 1 - l.
 
-    method="fast" runs the binomial-convolution pass.  Its big-integer
-    work is what the merges really need: the first merge at every node is
-    free and every other merge by rows adds one row per entry of the
-    shorter vector, while a node's repeated children (equal vectors, its
-    leaves among them) fold in one pass of an exact linear recurrence
-    whenever that is predicted to cost fewer products than their rows.  A
-    star, a chain or a root over many short equal chains thus costs O(n)
-    products, and a uniform shape still grows about 8x per doubling.
-    method="oracle" enumerates admissible cuts and adds up their
-    labellings per size, exponential and for cross-checking only.
+    One binomial-convolution pass.  Its big-integer work is what the
+    merges really need: the first merge at every node is free and every
+    other merge by rows adds one row per entry of the shorter vector, while
+    a node's repeated children (equal vectors, its leaves among them) fold
+    in one pass of an exact linear recurrence whenever that is predicted to
+    cost fewer products than their rows.  A star, a chain or a root over
+    many short equal chains thus costs O(n) products, and a uniform shape
+    still grows about 8x per doubling.
     """
-    if method == "oracle":
-        out = [0] * t.size
-        for cut in enumerate_admissible_cuts(t):
-            out[cut.size - 1] += cut.labellings
-        return tuple(out)
-    if method != "fast":
-        raise ValueError("method must be 'fast' or 'oracle'")
     if t.size > PROFILE_FAST_LIMIT:
         raise BudgetError(f"a {t.size}-node term is over the profile cap of "
                           f"{PROFILE_FAST_LIMIT} nodes", t.size, PROFILE_FAST_LIMIT)

@@ -23,7 +23,7 @@ SEMANTIC_NODE_BUDGET = 10 ** 6
 # actions drawn per run, or shapes times nodes per shape.  Every format prints
 # each run or shape as it is drawn, so this bounds time, not memory: 10^6 steps
 # took 0.9-3 s at 16 MB max RSS on a shared 2-core x86_64 with Python 3.11
-# (`gen` the fastest), and 10 s for `sample a.b --samples 10^6 --format json`,
+# (`gen` the fastest), and 5 s for `sample a.b --samples 10^6 --format json`,
 # which writes one JSON record per step.
 SAMPLING_STEP_BUDGET = 10 ** 7
 FOREST_ROOT_LABEL = "#root"
@@ -95,9 +95,10 @@ class SyntaxTree:
         """The tree of arrays its builder has already numbered in preorder.
 
         For parse_process and from_degree_word, which place each node under
-        a node on the path from the root to the node before it, so the
-        arrays hold the invariant __init__ would walk them to check.  The
-        caller passes labels as a tuple of the same length as parents.
+        a node on the path from the root to the node before it, and for the
+        admissible cuts, whose ascending member ids are the induced preorder,
+        so the arrays hold the invariant __init__ would walk them to check.
+        The caller passes labels as a tuple of the same length as parents.
         """
         tree = object.__new__(cls)
         tree._labels = labels

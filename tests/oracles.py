@@ -2,10 +2,12 @@
 
 Everything here works on plain nested tuples (a shape is a tuple of child
 shapes), parent arrays or term text, and never calls into the package, so agreement between these
-routines and the library is a genuine cross-check, not a tautology.  The one
-exception is sample_run_pst, the run sampler as first written on the
-package's PartialSumTree: a draw-for-draw reference for the inlined heap of
-sampling.sample_run, not an independent oracle.
+routines and the library is a genuine cross-check, not a tautology.  There
+are two exceptions.  sample_run_pst is the run sampler as first written on
+the package's PartialSumTree: a draw-for-draw reference for the inlined heap
+of sampling.sample_run, not an independent oracle.  cut_profile adds up the
+package's admissible cuts, the route `profile --oracle` prints, so that the
+cut enumeration and the convolution profile are held to each other.
 """
 
 import math
@@ -189,6 +191,17 @@ def profile_via_cuts(shape) -> tuple:
     for members in all_cuts(shape):
         acc[len(members) - 1] += run_count(induced_shape(shape, members))
     return tuple(acc)
+
+
+def cut_profile(t) -> tuple:
+    """Run-prefix counts per length of the SyntaxTree t: each cut of
+    profiles.enumerate_admissible_cuts adds its labellings at its size."""
+    from mergeruns import profiles
+
+    out = [0] * t.size
+    for cut in profiles.enumerate_admissible_cuts(t):
+        out[cut.size - 1] += cut.labellings
+    return tuple(out)
 
 
 # -- large trees as parent lists ---------------------------------------------
@@ -422,6 +435,19 @@ def tree_check(parents) -> tuple:
 
 
 # -- misc ---------------------------------------------------------------------
+
+def r_recurrence(N: int) -> list:
+    """The normalized sizes R_n = mean_size(n) 2^(n-1) / n!, n = 0..N, by
+    their own four-term recurrence rather than by normalizing mean sizes."""
+    r = [Fraction(0), Fraction(1), Fraction(2)]
+    for k in range(0, N - 2):
+        b0 = -16 * k
+        b1 = 4 * (4 * k ** 2 + 12 * k + 3)
+        b2 = -2 * (2 * k ** 3 + 18 * k ** 2 + 31 * k + 13)
+        b3 = 4 * k ** 3 + 20 * k ** 2 + 31 * k + 15
+        r.append(-(b0 * r[k] + b1 * r[k + 1] + b2 * r[k + 2]) / b3)
+    return r
+
 
 def unordered_key(shape) -> tuple:
     """Canonical form of a shape up to the order of siblings."""

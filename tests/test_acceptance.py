@@ -83,8 +83,8 @@ def test_criterion_02_routes_agree_small():
             c.check(sem.leaf_count() == hook, f"leaves != hook at {t.to_term()}")
             rho = sampling.prefix_probability(t, range(1, n + 1))
             c.check(Fraction(1) / rho == hook, f"1/rho != hook at {t.to_term()}")
-            fast = profiles.level_profile(t, method="fast")
-            oracle = profiles.level_profile(t, method="oracle")
+            fast = profiles.level_profile(t)
+            oracle = oracles.cut_profile(t)
             c.check(sem.level_counts() == fast == oracle,
                     f"profile routes differ at {t.to_term()}")
             if c.failures:
@@ -126,6 +126,7 @@ def test_criterion_04_recurrences():
         fact *= n
         c.check(r[n] == counts.mean_size(n) * 2 ** (n - 1) / fact,
                 f"ratio identity fails at n={n}")
+    c.check(r == oracles.r_recurrence(30), "ratio routes differ on 0..30")
     brute = [sum(oracles.cut_count(s) for s in oracles.all_shapes(n)) for n in range(4, 11)]
     rec = profiles.cut_count_sequence(10)
     c.check(brute == rec[4:], "cut-count routes differ on 4..10")

@@ -18,6 +18,7 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 
+import oracles
 from mergeruns import cli, counts, profiles, sampling, trees
 
 TERM = "a.b.(c || d.(e || f))"
@@ -227,6 +228,16 @@ def test_sample_json_freq_tallies_the_printed_runs(capsys):
     assert lines == text.splitlines()[:40]
 
 
+@pytest.mark.parametrize("freq", [[], ["--freq"]])
+def test_sample_json_is_the_sorted_dump(capsys, freq):
+    # a forest's '#root' tokens, each quoted once per command, and the step
+    # pairs are written as json.dumps(..., sort_keys=True) would write them
+    code, out, _ = run(capsys, "sample", "a.b || c.(d || e)", "--forest",
+                       "--samples", "30", "--seed", "4", "--format", "json", *freq)
+    assert code == 0 and '"#root#1"' in out
+    assert out == json.dumps(json.loads(out), sort_keys=True) + "\n"
+
+
 def test_sample_rejects_bad_count(capsys):
     code, _, err = run(capsys, "sample", TERM, "--samples", "0")
     assert code == 1 and "at least 1" in err
@@ -291,6 +302,12 @@ def test_profile_oracle_flag_matches(capsys):
     _, fast, _ = run(capsys, "profile", TERM)
     _, oracle, _ = run(capsys, "profile", TERM, "--oracle")
     assert fast == oracle
+    for n in range(1, 7):
+        for shape in oracles.all_shapes(n):
+            term = oracles.to_term(shape)
+            assert run(capsys, "profile", term, "--oracle") == run(capsys, "profile", term)
+    argv = ["profile", "a.b || c.(d || e) || f", "--forest", "--format", "json"]
+    assert run(capsys, *argv, "--oracle") == run(capsys, *argv)
 
 
 def test_profile_oracle_refuses_on_size_alone(capsys):

@@ -61,6 +61,17 @@ def test_enumerate_cuts_matches_oracle():
                 assert c.size == len(c.nodes)
 
 
+def test_cut_shapes_pass_the_constructor_check():
+    # cut shapes are built without SyntaxTree's preorder check; the
+    # validating constructor takes their arrays and builds the same tree
+    for n in range(1, 8):
+        for shape in oracles.all_shapes(n):
+            t = trees.parse_process(oracles.to_term(shape))
+            for c in profiles.enumerate_admissible_cuts(t):
+                parents = [c.shape.parent(v) for v in range(1, c.size + 1)]
+                assert c.shape == trees.SyntaxTree(c.shape.labels, parents)
+
+
 def test_enumerate_cuts_order_and_labels(ref_tree):
     cuts = profiles.enumerate_admissible_cuts(ref_tree)
     sizes = [c.size for c in cuts]
@@ -136,15 +147,15 @@ def test_profile_routes_agree():
     for n in range(1, 8):
         for shape in oracles.all_shapes(n):
             t = trees.parse_process(oracles.to_term(shape))
-            fast = profiles.level_profile(t, method="fast")
-            assert fast == profiles.level_profile(t, method="oracle")
+            fast = profiles.level_profile(t)
+            assert fast == oracles.cut_profile(t)
             assert fast == oracles.profile_via_trie(shape)
 
 
 def test_profile_oracle_size_limit():
     with pytest.raises(trees.BudgetError):
-        profiles.level_profile(path(19), method="oracle")
-    assert profiles.level_profile(path(19), method="fast") == (1,) * 19
+        oracles.cut_profile(path(19))
+    assert profiles.level_profile(path(19)) == (1,) * 19
 
 
 def test_profile_ends():
