@@ -112,6 +112,10 @@ COMMANDS = [
     ["prob", "a.(b || b)", "--prefix", "a,b"],
     ["prob", REF, "--prefix", "a,c#2"],
     ["prob", REF, "--prefix", "a,d"],
+    # a probability past the float range: 1/200! keeps six digits (options
+    # first, so that the two test ids differ)
+    *[["prob", "--format", fmt, "--prefix", ",".join(f"#{v}" for v in range(1, 202)),
+       _term([200] + [0] * 200)] for fmt in ["text", "json"]],
     # sample
     ["sample", REF, "--samples", "3", "--seed", "7"],
     ["sample", REF, "--samples", "64", "--seed", "3", "--freq"],
@@ -160,10 +164,10 @@ COMMANDS = [
       for fmt in ["text", "json", "csv"]],
     ["seq", "mean_size", "--to", "6", "--format", "csv"],
     ["seq", "m_cuts", "--to", "2"],
-    # the mpmath ratio past n = 197 and mpmath's digits past 1e308
+    # the ratio past n = 197 and the digits past 1e308
     ["seq", "mean_width", "--to", "220", "--format", "json"],
     ["seq", "mean_size", "--to", "210"],
-    ["seq", "geomean", "--to", "220", "--format", "csv"],
+    *[["seq", "geomean", "--to", "220", "--format", fmt] for fmt in ["csv", "text", "json"]],
     # gen
     ["gen", "--size", "6", "--seed", "2", "--count", "2"],
     ["gen", "--size", "9", "--seed", "4", "--format", "json"],
