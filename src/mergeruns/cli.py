@@ -138,20 +138,35 @@ def _fmt_count(x: int) -> str:
     return f"{s} (~{Decimal(s):.6e})"
 
 
-def _sig_digits(x: Fraction | mp.mpf, digits: int) -> str:
+def _sig_digits(x: Fraction | Decimal, digits: int) -> str:
     """x to ``digits`` significant digits.
 
-    The float's "g" form while float(x) is a normal float; past the float
-    range, where it would read 0 or inf, mpmath's digits of x.
+    The float's "g" form while float(x) is a normal float.  Past the float
+    range, where it would read 0 or inf, x's exact digits rounded half to
+    even, written d.ddde+N with trailing zeros stripped down to d.0.
     """
     f = float(x)
     if sys.float_info.min <= abs(f) < math.inf:
         return f"{f:.{digits}g}"
-    import mpmath as mp
-    with mp.workdps(digits + 10):
-        if isinstance(x, Fraction):
-            x = mp.mpf(x.numerator) / x.denominator
-        return mp.nstr(x, digits)
+    if not x:
+        return "0.0"
+    p, q = abs(x).as_integer_ratio()
+    # the exponent of x's leading digit, corrected where the logarithms,
+    # taken of each int whole, straddle a power of ten
+    e = math.floor(math.log10(p) - math.log10(q))
+    scale = digits - 1 - e
+    a, b = (p * 10 ** scale, q) if scale >= 0 else (p, q * 10 ** -scale)
+    if a < b * 10 ** (digits - 1):
+        e, a = e - 1, a * 10
+    elif a >= b * 10 ** digits:
+        e, b = e + 1, b * 10
+    m, r = divmod(a, b)
+    if 2 * r > b or (2 * r == b and m % 2):
+        m += 1
+    if m == 10 ** digits:  # rounded up to the next power of ten
+        e, m = e + 1, m // 10
+    s = str(m)
+    return f"{'-' if x < 0 else ''}{s[0]}.{s[1:].rstrip('0') or '0'}e{e:+d}"
 
 
 def _parse_term(args) -> trees.SyntaxTree:
@@ -349,14 +364,16 @@ def _seq_rows(idx: range, values, estimate):
             num, den = v.numerator, v.denominator
         elif isinstance(v, int):
             num, den = v, 1
-        else:  # high-precision float (geometric mean)
+        else:  # a Decimal of more digits than a float (geometric mean)
             num, den = _sig_digits(v, 12), 1
         est = estimate(n) if estimate else None
         if est is None:
             yield n, num, den, None
             continue
-        import mpmath as mp
-        yield n, num, den, float(mp.mpf(num) / den / mp.mpf(est.value))
+        # the exact value over the estimate p/q, correctly rounded: one int
+        # true division, with no Decimal made of the big numerator
+        p, q = est.value.as_integer_ratio()
+        yield n, num, den, (num * q) / (den * p)
 
 
 def _cmd_seq(args) -> int:

@@ -1,16 +1,19 @@
 """Counting sequences and asymptotics for interleaved runs.
 
 Everything exact is integer or Fraction arithmetic; everything approximate
-returns an Approx carrying a certified or heuristic error bound.  The
-factorially large values here (run counts easily exceed 10^36 by n = 40)
-stay exact, which is the point of the package.
+returns an Approx carrying a certified or heuristic error bound, computed in
+the standard library's decimal arithmetic (its exp, ln and sqrt are
+correctly rounded).  The factorially large values here (run counts easily
+exceed 10^36 by n = 40) stay exact, which is the point of the package.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import compress
+from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # annotations only: running counts does not run trees
@@ -18,25 +21,38 @@ if TYPE_CHECKING:  # annotations only: running counts does not run trees
 
 
 class Approx(NamedTuple):
-    """An estimate with an absolute error bound, both mpmath numbers.
+    """An estimate with an absolute error bound, both Decimal numbers.
 
     certified=True means the bound is proven (interval reasoning), otherwise
-    it is the truncation-order heuristic of an asymptotic series.  mpmath
-    carries any magnitude, so estimates past the float range stay finite.
+    it is the truncation-order heuristic of an asymptotic series.  The
+    estimates are computed with the widest exponent range decimal allows,
+    so values far past the float range stay finite.  ``x in a`` compares x
+    (an int, Fraction, float or Decimal) exactly, through Fraction; str(a)
+    prints the value to 12 significant digits and the bound to 3.
     """
 
-    value: mp.mpf
-    abs_error: mp.mpf
+    value: Decimal
+    abs_error: Decimal
     certified: bool = False
 
     def __contains__(self, x) -> bool:
-        import mpmath as mp
-        return abs(mp.mpmathify(x) - self.value) <= self.abs_error
+        return abs(Fraction(x) - Fraction(self.value)) <= Fraction(self.abs_error)
 
     def __str__(self) -> str:
-        import mpmath as mp
         tag = "+-" if self.certified else "~"
-        return f"{mp.nstr(self.value, 12)} ({tag}{mp.nstr(self.abs_error, 3)})"
+        return f"{self.value:.12g} ({tag}{self.abs_error:.3g})"
+
+
+# the working precision of the asymptotic estimates and of log_constant_L,
+# in significant digits, and pi to 60 of them
+_DIGITS = 34
+_PI = Decimal("3.14159265358979323846264338327950288419716939937510582097494")
+
+
+def _context(digits: int) -> Context:
+    """A decimal context of the given precision whose exponent range is the
+    widest libmpdec allows: n! / 2^(n-1) passes 1e308 at n = 197."""
+    return Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 def _product(factors: Sequence[int]) -> int:
@@ -160,12 +176,12 @@ def mean_width_asymptotic(n: int) -> Approx:
     """Stirling estimate 2 sqrt(2 pi n) (n / 2e)^n of the average run count."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    import mpmath as mp
-    x = mp.mpf(n)
-    val = 2 * mp.sqrt(2 * mp.pi * x) * (x / (2 * mp.e)) ** x
-    # Stirling underestimates by the factor exp(theta/12n), theta in (0, 1),
-    # and exp(1/12n) - 1 < 1/(11n) for every n >= 1, so this bound is proven
-    return Approx(val, val / (11 * n), certified=True)
+    with localcontext(_context(_DIGITS)):
+        x = Decimal(n)
+        val = 2 * (2 * _PI * x).sqrt() * (x / (2 * Decimal(1).exp())) ** n
+        # Stirling underestimates by the factor exp(theta/12n), theta in (0, 1),
+        # and exp(1/12n) - 1 < 1/(11n) for every n >= 1, so this bound is proven
+        return Approx(val, val / (11 * n), certified=True)
 
 
 def mean_level_width(n: int, i: int) -> Fraction:
@@ -235,84 +251,108 @@ def asymptotic_size(n: int) -> Approx:
     """Third-order asymptotic for the average computation-tree size."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    import mpmath as mp
-    x = mp.mpf(n)
-    series = 2 + mp.mpf(2) / (3 * x) + mp.mpf(49) / (36 * x ** 2) + mp.mpf(27449) / (6480 * x ** 3)
-    val = mp.e * mp.sqrt(2 * mp.pi * x) * (x / (2 * mp.e)) ** x * series
-    # heuristic: next omitted term of the bracket, empirically ~20/n^4
-    return Approx(val, val / series * 20 / x ** 4, certified=False)
+    with localcontext(_context(_DIGITS)):
+        x, e = Decimal(n), Decimal(1).exp()
+        series = 2 + 2 / (3 * x) + 49 / (36 * x ** 2) + 27449 / (6480 * x ** 3)
+        val = e * (2 * _PI * x).sqrt() * (x / (2 * e)) ** n * series
+        # heuristic: next omitted term of the bracket, empirically ~20/n^4
+        return Approx(val, val / series * 20 / x ** 4, certified=False)
 
 
-# catalan(k) at index k, and ln k at index k per working precision: exact
-# or fixed by the precision, so sharing them across calls changes no result;
-# they grow on demand, so a run of indices computes each entry once
+# catalan(k) at index k, and ln k in fixed point (round(ln k 10^d)) at index
+# k per number d of fractional digits: exact or fixed by d, so sharing them
+# across calls changes no result; they grow on demand, so a run of indices
+# computes each entry once
 _CATALANS: list[int] = [0]
-_LOGS: dict[int, list[mp.mpf]] = {}
+_LOGS: dict[int, list[int]] = {}
 
 
-def geometric_mean_width(n: int, precision: int = 80) -> mp.mpf:
+def geometric_mean_width(n: int, precision: int = 80) -> Decimal:
     """Geometric mean of run counts over shapes of size n.
 
     Product over k of k^(1 - e_k) where e_k is the expected number of
     subtrees of size k hanging in a uniform shape; exact identity with the
-    brute-force geometric mean, evaluated to the given bit precision.
-    e_k = (n + 1 - k) catalan(k) catalan(n - k + 1) / (2 catalan(n)), so
-    the numerators stay integers over one denominator and the weighted sum
-    of logs is one dot product, accumulated exactly and rounded once.
+    brute-force geometric mean.  e_k = w_k / (2 catalan(n)) with the integer
+    weight w_k = (n + 1 - k) catalan(k) catalan(n - k + 1), so the exponent
+    sum(ln k) - sum(w_k ln k) / (2 catalan(n)) is one integer dot product
+    of the weights with ln k in fixed point and one floor division; no
+    weight is ever converted to a Decimal.
+
+    precision is in bits.  ln k is kept to d fractional digits, where d is
+    ceil((precision + 20) log10 2) plus the digit count of 2n: each is off
+    by at most 0.55 units of 10^-d, and the sum of |1 - e_k| is below 2n,
+    so the exponent is off by less than 2n units.  The result is its exp
+    rounded to d significant digits, with a relative error below
+    2^-(precision + 19).
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    import mpmath as mp
     c = _CATALANS
     while len(c) <= n:
         c.append(catalan(len(c)))
-    with mp.workprec(precision + 20):
-        logs = _LOGS.setdefault(precision + 20, [mp.ninf, mp.mpf(0)])
-        while len(logs) < n:
-            logs.append(mp.log(len(logs)))
-        ln = logs[2:n]
-        weights = ((n + 1 - k) * c[k] * c[n - k + 1] for k in range(2, n))
-        return mp.exp(mp.fsum(ln) - mp.fdot(weights, ln) / (2 * c[n]))
+    d = math.ceil((precision + 20) * math.log10(2)) + len(str(2 * n))
+    logs = _LOGS.setdefault(d, [0, 0])
+    ctx = _context(d + 3)  # ln k < 100: rounded within 0.05 units of 10^-d
+    while len(logs) < n:
+        logs.append(round(ctx.scaleb(ctx.ln(len(logs)), d)))
+    ln = logs[2:n]
+    weights = ((n + 1 - k) * c[k] * c[n - k + 1] for k in range(2, n))
+    exponent = sum(ln) - sum(map(mul, weights, ln)) // (2 * c[n])
+    return _context(d).exp(Decimal(f"{exponent}e-{d}"))
 
 
-def _catalan_weight_bounds(x: mp.mpf) -> tuple[mp.mpf, mp.mpf]:
-    """Proven lower/upper bounds for ln(x) C_x 4^(-x) at integer x >= 2.
-
-    Uses two-sided central binomial bounds 4^m/sqrt(pi (m + 1/3)) <
-    binom(2m, m) <= 4^m/sqrt(pi (m + 1/4)) with m = x - 1.
-    """
-    import mpmath as mp
-    lo = mp.log(x) / (4 * x * mp.sqrt(mp.pi * (x - mp.mpf(2) / 3)))
-    hi = mp.log(x) / (4 * x * mp.sqrt(mp.pi * (x - mp.mpf(3) / 4)))
-    return lo, hi
+def _smallest_prime_factors(limit: int) -> list[int]:
+    """The least prime factor of each m in 2..limit, at index m (m itself
+    for a prime).  Each p from sqrt(limit) down to 2 writes itself over its
+    multiples from p^2 on, so the smallest divisor of m writes last."""
+    spf = list(range(limit + 1))
+    for p in range(math.isqrt(limit), 1, -1):
+        spf[p * p::p] = [p] * len(range(p * p, limit + 1, p))
+    return spf
 
 
 def log_constant_L(target_abs_error: float = 1e-6) -> Approx:
     """The run-count log-scale constant: sum over n >= 2 of ln(n) C_n 4^(-n).
 
-    Returns a certified enclosure midpoint. The head is summed exactly with
-    the term ratio recurrence; the tail is trapped between integrals of the
-    proven per-term bounds (both bounds are decreasing past the cutoff, so
-    the integral comparison brackets the discrete tail from both sides).
+    Returns a certified enclosure midpoint.  The head up to a cutoff N is
+    summed with the term ratio recurrence, ln n read off a smallest prime
+    factor table as ln p + ln(n / p).  The tail is bracketed in closed form:
+    with m = x - 1, C_x 4^(-x) = binom(2m, m) 4^(-m) / (4x), and the central
+    binomial bounds 1/sqrt(pi (m + 1/3)) < binom(2m, m) 4^(-m) <=
+    1/sqrt(pi (m + 1/4)) put each tail term between ln x / (4x sqrt(pi
+    (x - 2/3))) and ln x / (4x sqrt(pi (x - 3/4))).  Below, sqrt(x - 2/3) <
+    sqrt(x); above, sqrt(x - 3/4) >= sqrt(x) (1 - 3/(4N))^(1/2) for x >= N.
+    Both resulting bounds decrease, so the tail lies between their
+    integrals from N + 1 and from N, and
+    integral from a to inf of ln x x^(-3/2) dx = 2 a^(-1/2) (ln a + 2)
+    gives (ln(N + 1) + 2) / (2 sqrt(pi (N + 1))) below and
+    (ln N + 2) / (2 sqrt(pi (N - 3/4))) above.
+
+    The cutoffs are 10^4, 4 10^4 and 1.6 10^5, where the half-width is
+    1.2e-6, 1.8e-7 and 2.5e-8; the first that meets the target is used.
+    Every decimal step rounds by a relative u = 10^(1 - prec) / 2 at most:
+    a head term carries fewer than 2n + 20 such roundings and the running
+    sum one per step, on values below 0.6, so the half-width adds 4 N u
+    for them and for the tails' few.
     """
     if target_abs_error < 1e-7:
         raise ValueError("target_abs_error below 1e-7 is not supported")
-    import mpmath as mp
-    with mp.workprec(200):
-        head = mp.mpf(0)
-        g = mp.mpf(1) / 16  # the n = 2 weight C_2 4^(-2)
+    with localcontext(_context(_DIGITS)):
+        head, g = Decimal(0), Decimal("0.0625")  # g: the n = 2 weight C_2 4^(-2)
+        logs = [Decimal(0)] * 2  # ln n at index n
         n = 2
         for cutoff in (10_000, 40_000, 160_000):
+            spf = _smallest_prime_factors(cutoff)
             while n <= cutoff:
-                head += mp.log(n) * g
-                g = g * (2 * n - 1) / (2 * (n + 1))
+                p = spf[n]
+                logs.append(Decimal(n).ln() if p == n else logs[p] + logs[n // p])
+                head += logs[n] * g
+                g = g * (2 * n - 1) / (2 * n + 2)
                 n += 1
-            tail_lo = mp.quad(lambda x: _catalan_weight_bounds(x)[0],
-                              [cutoff + 1, 4 * cutoff, mp.inf])
-            tail_hi = mp.quad(lambda x: _catalan_weight_bounds(x)[1],
-                              [cutoff, 4 * cutoff, mp.inf])
+            tail_lo = (Decimal(cutoff + 1).ln() + 2) / (2 * (_PI * (cutoff + 1)).sqrt())
+            tail_hi = (logs[cutoff] + 2) / (2 * (_PI * (cutoff - Decimal("0.75"))).sqrt())
             mid = head + (tail_lo + tail_hi) / 2
-            half = (tail_hi - tail_lo) / 2 * mp.mpf("1.000001")  # quadrature slack
+            half = (tail_hi - tail_lo) / 2 + Decimal(2 * cutoff).scaleb(1 - _DIGITS)
             if half <= target_abs_error:
                 return Approx(mid, half, certified=True)
     raise ArithmeticError(

@@ -13,6 +13,7 @@ import time
 import tracemalloc
 from collections import Counter
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -466,6 +467,29 @@ def test_seq_ratio_past_the_float_range(capsys, name):
         assert abs(rows[n] - 1) < 0.05, (n, rows[n])
 
 
+@pytest.mark.parametrize("name", ["mean_width", "mean_size"])
+def test_seq_json_ratio_is_the_rounded_quotient(capsys, name):
+    # every ratio is float(exact / estimate), rounded once, with the
+    # estimate recomputed by mpmath at 50 digits
+    _, out, _ = run(capsys, "seq", name, "--to", "220", "--format", "json")
+    rows = json.loads(out)["values"]
+    with mp.workdps(50):
+        for r in rows:
+            n = r["n"]
+            if n == 0:  # mean_size has no estimate at 0
+                assert "asymptotic_ratio" not in r
+                continue
+            x = mp.mpf(n)
+            stirling = mp.sqrt(2 * mp.pi * x) * (x / (2 * mp.e)) ** x
+            if name == "mean_width":
+                est = 2 * stirling
+            else:
+                est = mp.e * stirling * (2 + mp.mpf(2) / (3 * x) + mp.mpf(49) / (36 * x ** 2)
+                                         + mp.mpf(27449) / (6480 * x ** 3))
+            exact = mp.mpf(int(r["numerator"])) / int(r["denominator"])
+            assert r["asymptotic_ratio"] == float(exact / est), n
+
+
 def test_seq_nonplane_values(capsys):
     _, out, _ = run(capsys, "seq", "nonplane", "--to", "12", "--format", "csv")
     values = [int(line.split(",")[1]) for line in out.splitlines()[1:]]
@@ -498,8 +522,28 @@ def test_seq_geomean_past_the_float_range(capsys, fmt):
         rows = [line.split(sep) for line in out.splitlines()]
         shown = {int(r[0]): r[1] for r in rows if r[0] != "n"}
     for n in range(214, 221):
-        assert shown[n] == mp.nstr(counts.geometric_mean_width(n), 12), n
+        assert shown[n] == mp.nstr(mp.mpf(str(counts.geometric_mean_width(n))), 12), n
     assert shown[213] == f"{float(counts.geometric_mean_width(213)):.12g}"
+
+
+@pytest.mark.parametrize("x", [
+    Fraction(1, math.factorial(200)), Fraction(1, 10 ** 400), Fraction(7, 10 ** 330),
+    Decimal(10 ** 400) / 3, Fraction(-2, 3 * 10 ** 320), Decimal("3.5396919629e+311"),
+    Decimal("1.26798e-375"), Decimal("9.9999996e-400"), Decimal("-7.11468759269e+320")])
+@pytest.mark.parametrize("digits", [6, 12])
+def test_sig_digits_past_the_float_range_match_mpmath(x, digits):
+    # mpmath's nstr is the reference for the digits and the layout
+    with mp.workdps(digits + 10):
+        want = mp.nstr(mp.mpf(str(x)) if isinstance(x, Decimal)
+                       else mp.mpf(x.numerator) / x.denominator, digits)
+    assert cli._sig_digits(x, digits) == want
+
+
+def test_sig_digits_round_half_to_even_past_the_float_range():
+    assert cli._sig_digits(Fraction(1234565, 10 ** 406), 6) == "1.23456e-400"
+    assert cli._sig_digits(Fraction(1234575, 10 ** 406), 6) == "1.23458e-400"
+    assert cli._sig_digits(Fraction(9999995, 10 ** 406), 6) == "1.0e-399"
+    assert cli._sig_digits(Fraction(0), 6) == "0.0"
 
 
 def test_seq_json(capsys):
@@ -704,13 +748,41 @@ def _fresh_python(script: str, *args: str):
 
 
 def test_cli_import_leaves_numpy_out():
-    # a fresh interpreter: start-up and the commands that do not compute
-    # with mpmath must not pay for it, nor for dataclasses (which imports
-    # inspect) or numpy; seq mean_width is the lazy route that loads mpmath
+    # a fresh interpreter: start-up and every command, the asymptotic ratio
+    # of seq mean_width among them, load none of mpmath, dataclasses (which
+    # imports inspect) or numpy
     mean_width = ["seq", "mean_width", "--to", "5"]
     loaded = _fresh_python(GUARD_SCRIPT, json.dumps(LIGHT_COMMANDS + [mean_width]))
-    assert loaded.pop(" ".join(mean_width)) == ["mpmath"]
+    assert loaded.pop(" ".join(mean_width)) == []
     assert loaded == {"import": [], **{" ".join(argv): [] for argv in LIGHT_COMMANDS}}
+
+
+NO_MPMATH_SCRIPT = """
+import contextlib, io, json, sys
+sys.modules["mpmath"] = None  # any import of mpmath raises ImportError
+from mergeruns import cli
+outs = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        outs.append([cli.run_cli(argv), out.getvalue()])
+print(json.dumps(outs))
+"""
+
+
+def test_commands_run_on_the_standard_library_alone(capsys):
+    # the asymptotic ratios, the geometric mean and a probability below the
+    # float range (1/200!) print the same with mpmath unimportable
+    star = trees.SyntaxTree.from_degree_word([200] + [0] * 200).to_term()
+    prefix = ",".join(f"#{v}" for v in range(1, 202))
+    commands = LIGHT_COMMANDS + [
+        ["seq", name, "--to", "220", "--format", fmt]
+        for name in ("mean_width", "mean_size", "geomean") for fmt in ("text", "json", "csv")
+    ] + [["prob", star, "--prefix", prefix, "--format", fmt] for fmt in ("text", "json")]
+    fresh = _fresh_python(NO_MPMATH_SCRIPT, json.dumps(commands))
+    for argv, (code, out) in zip(commands, fresh, strict=True):
+        assert code == 0, argv[:2]
+        assert out == run(capsys, *argv)[1], argv[:2]
 
 
 # -- lazy library modules -------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import mpmath as mp
@@ -131,16 +132,16 @@ def test_mean_width_asymptotic_certified():
 def test_asymptotics_past_the_float_range():
     for n in (197, 200, 400):
         est = counts.mean_width_asymptotic(n)
-        assert mp.isfinite(est.value) and est.value > 1e308
+        assert mp.isfinite(mp.mpf(str(est.value))) and est.value > 1e308
         assert counts.mean_width(n) in est
-        assert mp.isfinite(counts.asymptotic_size(n).value)
+        assert mp.isfinite(mp.mpf(str(counts.asymptotic_size(n).value)))
 
 
 def test_mean_width_asymptotic_accuracy():
     n = 40
     est = counts.mean_width_asymptotic(n)
     exact = counts.mean_width(n)
-    rel = abs(mp.mpf(exact.numerator) / exact.denominator / est.value - 1)
+    rel = abs(mp.mpf(exact.numerator) / exact.denominator / mp.mpf(str(est.value)) - 1)
     assert rel < 0.01
     assert rel < 1 / (4 * n)  # the defect is the ~1/(12n) Stirling correction
 
@@ -256,9 +257,9 @@ def test_r_sequence_domain():
 # -- asymptotics of the mean size -----------------------------------------------
 
 def test_asymptotic_size_accuracy():
-    dev30 = abs(float(counts.mean_size(30)) / counts.asymptotic_size(30).value - 1)
+    dev30 = abs(float(counts.mean_size(30)) / mp.mpf(str(counts.asymptotic_size(30).value)) - 1)
     assert dev30 < 1e-3
-    dev60 = abs(float(counts.mean_size(60)) / counts.asymptotic_size(60).value - 1)
+    dev60 = abs(float(counts.mean_size(60)) / mp.mpf(str(counts.asymptotic_size(60).value)) - 1)
     assert dev60 < dev30
 
 
@@ -280,7 +281,7 @@ def test_geometric_mean_trivial():
 
 def test_geometric_mean_small_surd():
     with mp.workprec(280):
-        g = counts.geometric_mean_width(3, precision=260)
+        g = mp.mpf(str(counts.geometric_mean_width(3, precision=260)))
         assert abs(g - mp.sqrt(2)) < mp.mpf(10) ** -70
 
 
@@ -290,14 +291,16 @@ def test_geometric_mean_brute():
         with mp.workprec(150):
             logs = [mp.log(oracles.run_count(s)) for s in shapes]
             brute = mp.exp(mp.fsum(logs) / len(shapes))
-            g = counts.geometric_mean_width(n, precision=120)
+            g = mp.mpf(str(counts.geometric_mean_width(n, precision=120)))
             assert abs(g / brute - 1) < mp.mpf(10) ** -25, n
 
 
 def test_geometric_mean_matches_direct_formula():
     # the grown tables against every index computed from scratch
     for n in list(range(2, 61)) + [400]:
-        g, want = counts.geometric_mean_width(n), oracles.geometric_mean_width_direct(n)
+        with mp.workprec(100):  # the 80 + 20 bits asked for; 53 would round them away
+            g = mp.mpf(str(counts.geometric_mean_width(n)))
+        want = oracles.geometric_mean_width_direct(n)
         assert mp.nstr(g, 12) == mp.nstr(want, 12), n
         assert abs(g / want - 1) < mp.mpf(10) ** -20, n
 
@@ -313,6 +316,14 @@ def test_log_constant_enclosure():
     approx = counts.log_constant_L(1e-6)
     assert approx.certified
     assert approx.abs_error <= 1e-6
+    assert L_REFERENCE in approx
+
+
+def test_log_constant_tightest_target():
+    # the last cutoff, 1.6e5 terms, meets the 1e-7 floor
+    approx = counts.log_constant_L(1e-7)
+    assert approx.certified
+    assert approx.abs_error <= 1e-7
     assert L_REFERENCE in approx
 
 
@@ -397,6 +408,24 @@ def test_approx_contains_and_str():
     assert 1.2 in a and 0.8 in a and 2.0 not in a
     assert "+-" in str(a)
     assert "~" in str(counts.Approx(1.0, 0.25))
+
+
+def test_approx_contains_compares_exactly():
+    a = counts.Approx(Decimal(1), Decimal("0.25"), certified=True)
+    assert Fraction(5, 4) in a and Decimal("0.75") in a and 1.25 in a
+    assert Decimal("1.2500000000000000000000000001") not in a
+    assert Fraction(3, 4) - Fraction(1, 10 ** 40) not in a
+    assert str(a) == "1 (+-0.25)"
+
+
+def test_decimal_constants():
+    # pi to at least 50 digits, and an exponent range past any float
+    assert len(counts._PI.as_tuple().digits) >= 50
+    with mp.workdps(80):
+        assert abs(mp.mpf(str(counts._PI)) - mp.pi) < mp.mpf(10) ** -58
+    ctx = counts._context(20)
+    assert ctx.power(10, 10 ** 6) == Decimal("1e1000000")
+    assert ctx.power(10, -10 ** 6) == Decimal("1e-1000000")
 
 
 def test_approx_is_immutable_and_keeps_its_repr():
