@@ -24,7 +24,6 @@ _EXPORTS = {
         "SemanticTree",
         "SuspendedView",
         "SyntaxTree",
-        "build_semantic_tree",
         "degree_sequence_of_tree",
         "enumerate_trees",
         "parse_process",
@@ -50,6 +49,7 @@ _EXPORTS = {
     ),
     "profiles": (
         "AdmissibleCut",
+        "build_semantic_tree",
         "count_admissible_cuts",
         "cut_count_sequence",
         "enumerate_admissible_cuts",

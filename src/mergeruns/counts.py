@@ -13,7 +13,6 @@ import math
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import compress
-from operator import mul
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # annotations only: running counts does not run trees
@@ -276,7 +275,8 @@ def geometric_mean_width(n: int, precision: int = 80) -> Decimal:
     weight w_k = (n + 1 - k) catalan(k) catalan(n - k + 1), so the exponent
     sum(ln k) - sum(w_k ln k) / (2 catalan(n)) is one integer dot product
     of the weights with ln k in fixed point and one floor division; no
-    weight is ever converted to a Decimal.
+    weight is ever converted to a Decimal.  w_k and w_(n+1-k) share the
+    product catalan(k) catalan(n + 1 - k), so it is taken once per pair.
 
     precision is in bits.  ln k is kept to d fractional digits, where d is
     ceil((precision + 20) log10 2) plus the digit count of 2n: each is off
@@ -295,9 +295,12 @@ def geometric_mean_width(n: int, precision: int = 80) -> Decimal:
     ctx = _context(d + 3)  # ln k < 100: rounded within 0.05 units of 10^-d
     while len(logs) < n:
         logs.append(round(ctx.scaleb(ctx.ln(len(logs)), d)))
-    ln = logs[2:n]
-    weights = ((n + 1 - k) * c[k] * c[n - k + 1] for k in range(2, n))
-    exponent = sum(ln) - sum(map(mul, weights, ln)) // (2 * c[n])
+    dot = sum(c[k] * c[n + 1 - k] * ((n + 1 - k) * logs[k] + k * logs[n + 1 - k])
+              for k in range(2, n // 2 + 1))
+    if n % 2:  # the middle index pairs with itself
+        h = (n + 1) // 2
+        dot += h * c[h] ** 2 * logs[h]
+    exponent = sum(logs[2:n]) - dot // (2 * c[n])
     return _context(d).exp(Decimal(f"{exponent}e-{d}"))
 
 

@@ -3,20 +3,23 @@
 A run prefix of length p stops the process with some set of actions done;
 the done set is always a root-containing "cut" closed under parents.  The
 level profile counts prefixes per length, the cut machinery enumerates the
-underlying sets, and semantic_size predicts the full computation-tree size
-without building it.
+underlying sets, semantic_size predicts the full computation-tree size
+without building it, and build_semantic_tree expands that tree once its size
+is known to fit the budget.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Decimal
 from typing import NamedTuple
 
 from .counts import hook_count
-from .trees import BudgetError, SyntaxTree
+from .trees import BudgetError, SemanticTree, SyntaxTree
 
 CUT_ENUMERATION_LIMIT = 18
 PROFILE_FAST_LIMIT = 5000
+SEMANTIC_NODE_BUDGET = 10 ** 6
 
 
 class AdmissibleCut(NamedTuple):
@@ -252,6 +255,48 @@ def semantic_size(t: SyntaxTree) -> int:
     """Exact node count of the computation tree, without building it: the
     sum of the level profile, so terms over PROFILE_FAST_LIMIT are refused."""
     return sum(level_profile(t))
+
+
+def build_semantic_tree(t: SyntaxTree, node_budget: int = SEMANTIC_NODE_BUDGET) -> SemanticTree:
+    """Explicitly expand the semantic tree of t.
+
+    The root consumes t's root; every node's children consume, left to right,
+    the actions enabled once it is done.  Sizes grow factorially, so the
+    expansion is refused up front when node_budget is under a lower bound:
+    n, a node per level, or 10^k under the run count n! / prod |T(v)|, a leaf
+    per run.  Only then is the exact size summed from the level profile, its
+    entries at most the run count (prefixes of one length extend to disjoint
+    runs), so no level is over about ten times the budget.
+    """
+    n = t.size
+    if n > node_budget:
+        raise BudgetError(f"semantic tree has at least {n} nodes, one per level, over the "
+                          f"budget of {node_budget}", n, node_budget)
+    log_runs = math.lgamma(n + 1) - math.fsum(map(math.log, t.subtree_sizes()))
+    k = max(0, math.floor(log_runs / math.log(10) - 1e-6))  # 10^k stays under despite rounding
+    if Decimal(f"1e{k}") > node_budget:
+        raise BudgetError(f"semantic tree has at least 10^{k} branches, over the budget of "
+                          f"{node_budget} nodes", Decimal(f"1e{k}"), node_budget)
+    predicted = sum(_prefix_counts(t))
+    if predicted > node_budget:
+        raise BudgetError(
+            f"semantic tree has exactly {predicted} nodes, over the budget of {node_budget}",
+            predicted, node_budget)
+    parents: list[int] = []
+    source: list[int] = []
+    # stack entries: (semantic parent, frontier, index of the node consumed);
+    # v's children take v's place, as no other enabled action is in v's subtree
+    stack = [(0, (1,), 0)]
+    while stack:
+        parent_sem, frontier, j = stack.pop()
+        v = frontier[j]
+        parents.append(parent_sem)
+        source.append(v)
+        sem = len(source)
+        nxt = frontier[:j] + t.children(v) + frontier[j + 1:]
+        for k in range(len(nxt) - 1, -1, -1):
+            stack.append((sem, nxt, k))
+    return SemanticTree(map(t.label, source), parents, source)
 
 
 def limit_profile(c: float, n: int) -> float:

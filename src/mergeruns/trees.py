@@ -4,28 +4,18 @@ A term like ``a.b.(c || d.(e || f))`` denotes a process whose actions form a
 plane rooted tree: prefixing adds a child, parallel composition adds several.
 Nodes are addressed by preorder id 1..n, which is stable under relabelling and
 is the identity used by every other module.  This module provides the parser,
-the explicit semantic-tree expansion (the small-size oracle), degree-sequence
-encoding, and exhaustive enumeration.
+the computation-tree type, degree-sequence encoding, and exhaustive
+enumeration; it imports no other module of the package.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from collections import Counter
-from decimal import Decimal
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterator, NamedTuple, Sequence
 
 ENUMERATION_LIMIT = 12
-SEMANTIC_NODE_BUDGET = 10 ** 6
-# most sampling steps one `sample` or `gen` command may take: runs times
-# actions drawn per run, or shapes times nodes per shape.  Every format prints
-# each run or shape as it is drawn, so this bounds time, not memory: 10^6 steps
-# took 0.9-3 s at 16 MB max RSS on a shared 2-core x86_64 with Python 3.11
-# (`gen` the fastest), and 5 s for `sample a.b --samples 10^6 --format json`,
-# which writes one JSON record per step.
-SAMPLING_STEP_BUDGET = 10 ** 7
 FOREST_ROOT_LABEL = "#root"
 
 
@@ -242,9 +232,9 @@ class SemanticTree:
     """Explicit computation tree: every branch is one complete run.
 
     Nodes are numbered in preorder and carry the label and preorder id of
-    the syntax-tree action they consume.  Built only by build_semantic_tree;
-    sizes grow like (n-1)! so this is an oracle, not a scalable
-    representation.
+    the syntax-tree action they consume.  Built by
+    profiles.build_semantic_tree; sizes grow like (n-1)! so this is an
+    oracle, not a scalable representation.
     """
 
     __slots__ = ("labels", "parents", "source_ids")
@@ -419,51 +409,7 @@ def _parse_error(text: str, allow_forest: bool, index: int, message: str) -> Par
     return ParseError(message, position)
 
 
-# -- semantic expansion and encodings ----------------------------------------
-
-def build_semantic_tree(t: SyntaxTree, node_budget: int = SEMANTIC_NODE_BUDGET) -> SemanticTree:
-    """Explicitly expand the semantic tree of t.
-
-    The root consumes t's root; every node's children consume, left to right,
-    the actions enabled once it is done.  Sizes grow factorially, so the
-    expansion is refused up front when node_budget is under a lower bound:
-    n, a node per level, or 10^k under the run count n! / prod |T(v)|, a leaf
-    per run.  Only then is the exact size summed from the level profile, its
-    entries at most the run count (prefixes of one length extend to disjoint
-    runs), so no level is over about ten times the budget.
-    """
-    n = t.size
-    if n > node_budget:
-        raise BudgetError(f"semantic tree has at least {n} nodes, one per level, over the "
-                          f"budget of {node_budget}", n, node_budget)
-    log_runs = math.lgamma(n + 1) - math.fsum(map(math.log, t.subtree_sizes()))
-    k = max(0, math.floor(log_runs / math.log(10) - 1e-6))  # 10^k stays under despite rounding
-    if Decimal(f"1e{k}") > node_budget:
-        raise BudgetError(f"semantic tree has at least 10^{k} branches, over the budget of "
-                          f"{node_budget} nodes", Decimal(f"1e{k}"), node_budget)
-    from .profiles import _prefix_counts  # deferred: profiles builds on this module
-
-    predicted = sum(_prefix_counts(t))
-    if predicted > node_budget:
-        raise BudgetError(
-            f"semantic tree has exactly {predicted} nodes, over the budget of {node_budget}",
-            predicted, node_budget)
-    parents: list[int] = []
-    source: list[int] = []
-    # stack entries: (semantic parent, frontier, index of the node consumed);
-    # v's children take v's place, as no other enabled action is in v's subtree
-    stack = [(0, (1,), 0)]
-    while stack:
-        parent_sem, frontier, j = stack.pop()
-        v = frontier[j]
-        parents.append(parent_sem)
-        source.append(v)
-        sem = len(source)
-        nxt = frontier[:j] + t.children(v) + frontier[j + 1:]
-        for k in range(len(nxt) - 1, -1, -1):
-            stack.append((sem, nxt, k))
-    return SemanticTree(map(t.label, source), parents, source)
-
+# -- encodings and enumeration ----------------------------------------------
 
 def degree_sequence_of_tree(t: SyntaxTree) -> tuple[int, ...]:
     """Branch encoding u of the tree: u_p = (sum of first p degrees) - (p-1).

@@ -78,7 +78,7 @@ def test_criterion_02_routes_agree_small():
     c = Criterion(2, "three-routes-per-shape", 120.0)
     for n in range(1, 8):
         for t in trees.enumerate_trees(n):
-            sem = trees.build_semantic_tree(t)
+            sem = profiles.build_semantic_tree(t)
             hook = counts.hook_count(t)
             c.check(sem.leaf_count() == hook, f"leaves != hook at {t.to_term()}")
             rho = sampling.prefix_probability(t, range(1, n + 1))

@@ -178,6 +178,20 @@ def test_prob_wrong_label_for_id(capsys):
     code, _, err = run(capsys, "prob", TERM, "--prefix", "a,c#2")
     assert code == 1
     assert "labelled" in err
+    code, _, err = run(capsys, "prob", TERM, "--prefix", "#1,#9")
+    assert code == 1
+    assert err == "mergeruns: error: node id 9 out of range 1..6\n"
+
+
+def test_library_key_error_is_not_a_user_error(monkeypatch):
+    # only user input is reported as an error line with exit 1; a KeyError
+    # from a lookup inside a command is a bug and propagates
+    def broken(t, sigma):
+        raise KeyError("lookup")
+
+    monkeypatch.setattr(sampling, "prefix_probability", broken)
+    with pytest.raises(KeyError):
+        cli.run_cli(["prob", TERM, "--prefix", "a,b"])
 
 
 # -- sample ---------------------------------------------------------------------
@@ -244,7 +258,7 @@ def test_sample_rejects_bad_count(capsys):
     assert code == 1 and "at least 1" in err
 
 
-STEP_BUDGET = trees.SAMPLING_STEP_BUDGET
+STEP_BUDGET = cli.SAMPLING_STEP_BUDGET
 
 
 @pytest.mark.parametrize("argv, steps", [
@@ -271,7 +285,7 @@ def test_sampling_budget_refuses_before_drawing(capsys, monkeypatch, argv, steps
 
 
 def test_sampling_budget_bounds_steps_not_commands(capsys, monkeypatch):
-    monkeypatch.setattr(trees, "SAMPLING_STEP_BUDGET", 50)
+    monkeypatch.setattr(cli, "SAMPLING_STEP_BUDGET", 50)
     # 10 runs of 5 draws, and 10 shapes of 5 nodes, are exactly at the limit
     assert run(capsys, "sample", TERM, "--samples", "10")[0] == 0
     assert run(capsys, "sample", TERM, "--samples", "11")[0] == 2
@@ -529,7 +543,10 @@ def test_seq_geomean_past_the_float_range(capsys, fmt):
 @pytest.mark.parametrize("x", [
     Fraction(1, math.factorial(200)), Fraction(1, 10 ** 400), Fraction(7, 10 ** 330),
     Decimal(10 ** 400) / 3, Fraction(-2, 3 * 10 ** 320), Decimal("3.5396919629e+311"),
-    Decimal("1.26798e-375"), Decimal("9.9999996e-400"), Decimal("-7.11468759269e+320")])
+    Decimal("1.26798e-375"), Decimal("9.9999996e-400"), Decimal("-7.11468759269e+320"),
+    # floor(log10 p - log10 q) is one too high for the first, and one too low
+    # for the second, as math.log10(10 ** 512) rounds below 512
+    Fraction(10 ** 400 - 1, 10 ** 800), Decimal("1e512")])
 @pytest.mark.parametrize("digits", [6, 12])
 def test_sig_digits_past_the_float_range_match_mpmath(x, digits):
     # mpmath's nstr is the reference for the digits and the layout
@@ -620,6 +637,9 @@ def test_gen_json(capsys):
 def test_gen_bad_size(capsys):
     code, _, err = run(capsys, "gen", "--size", "0")
     assert code == 1
+    code, out, err = run(capsys, "gen", "--size", "5", "--count", "0")
+    assert code == 1 and not out
+    assert err == "mergeruns: error: --count must be at least 1\n"
 
 
 # -- shared plumbing -----------------------------------------------------------------
@@ -825,15 +845,15 @@ def test_each_command_runs_only_the_modules_it_uses(argv, ran):
 
 PUBLIC_NAMES = {
     "trees": ["BudgetError", "FOREST_ROOT_LABEL", "ParseError", "SemanticTree",
-              "SuspendedView", "SyntaxTree", "build_semantic_tree", "degree_sequence_of_tree",
-              "enumerate_trees", "parse_process", "suspended_view",
-              "tree_from_degree_sequence", "validate_run_prefix"],
+              "SuspendedView", "SyntaxTree", "degree_sequence_of_tree", "enumerate_trees",
+              "parse_process", "suspended_view", "tree_from_degree_sequence",
+              "validate_run_prefix"],
     "counts": ["Approx", "asymptotic_size", "catalan", "cumulative_size",
                "geometric_mean_width", "hook_count", "increasing_count", "log_constant_L",
                "mean_level_width", "mean_size", "mean_width", "mean_width_asymptotic",
                "nonplane_count", "r_sequence"],
-    "profiles": ["AdmissibleCut", "count_admissible_cuts", "cut_count_sequence",
-                 "enumerate_admissible_cuts", "level_profile", "limit_profile",
+    "profiles": ["AdmissibleCut", "build_semantic_tree", "count_admissible_cuts",
+                 "cut_count_sequence", "enumerate_admissible_cuts", "level_profile", "limit_profile",
                  "limit_profile_error_bound", "semantic_size"],
     "sampling": ["PartialSumTree", "Rng", "count_runs_via_probability",
                  "prefix_probability", "sample_run", "uniform_random_tree"],

@@ -1,16 +1,18 @@
 """Syntax layer: parsing, conversions, enumeration, semantic trees."""
 
+import ast
 import json
 import sys
 from decimal import Decimal
 from itertools import accumulate, product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from mergeruns import cli, counts, sampling, trees
+from mergeruns import cli, counts, profiles, sampling, trees
 
 
 # -- parsing ------------------------------------------------------------------
@@ -47,6 +49,17 @@ def test_parse_error_positions():
     with pytest.raises(trees.ParseError) as e:
         trees.parse_process("a || b")
     assert "forest" in str(e.value)
+
+
+def test_trees_imports_no_module_of_the_package():
+    # trees is the bottom layer: counts, profiles and sampling import it,
+    # so an import back from it would close a cycle
+    source = Path(trees.__file__).read_text(encoding="utf-8")
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and node.module.split(".")[0] != "mergeruns", ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert all(a.name.split(".")[0] != "mergeruns" for a in node.names), ast.dump(node)
 
 
 def test_forest_mode():
@@ -105,8 +118,10 @@ def test_constructor_error_priority():
     for n in range(1, 6):
         for parents in _parent_arrays(n, lambda v: -1, lambda v: v + 1):
             _check_against_reference(parents)
-    for parents in [(1,), (1, 1), (-1, 1), (2, 1, 1)]:
+    for parents in [(), (1,), (1, 1), (-1, 1), (2, 1, 1)]:
         _check_against_reference(parents)
+    with pytest.raises(ValueError, match="^labels and parents must have equal length$"):
+        trees.SyntaxTree(["a", "b"], [0])
 
 
 # -- builders that number their nodes in preorder themselves --------------------
@@ -403,7 +418,7 @@ def test_ambiguous_label():
     t = trees.parse_process("a.(b || b)")
     assert t.labels == ("a", "b", "b")
     label_ids = {"a": [1], "b": [2, 3]}
-    with pytest.raises(KeyError) as e:
+    with pytest.raises(ValueError) as e:
         cli._resolve_action(t, label_ids, "b")
     assert "ambiguous" in str(e.value)
     assert cli._resolve_action(t, label_ids, "b#3") == 3
@@ -454,6 +469,8 @@ def test_validate_run_prefix(ref_tree):
         with pytest.raises(ValueError) as e:
             trees.validate_run_prefix(ref_tree, bad)
         assert idx_hint in str(e.value)
+    with pytest.raises(ValueError, match=r"^prefix longer than the tree \(index 3\)$"):
+        trees.validate_run_prefix(trees.parse_process("a.b"), [1, 2, 2])
 
 
 def test_suspended_view(ref_tree):
@@ -474,7 +491,7 @@ def test_suspended_view_is_immutable_and_keeps_its_repr(ref_tree):
 # -- semantic trees -----------------------------------------------------------
 
 def test_semantic_reference(ref_tree):
-    sem = trees.build_semantic_tree(ref_tree)
+    sem = profiles.build_semantic_tree(ref_tree)
     assert sem.node_count == 24
     assert sem.leaf_count() == 8
     assert sem.level_counts() == (1, 1, 2, 4, 8, 8)
@@ -484,7 +501,7 @@ def test_semantic_branches_are_runs():
     for n in range(1, 7):
         for shape in oracles.all_shapes(n):
             t = trees.parse_process(oracles.to_term(shape))
-            sem = trees.build_semantic_tree(t)
+            sem = profiles.build_semantic_tree(t)
             branches = list(sem.branches())
             assert len(branches) == len(set(branches))
             assert sorted(branches) == sorted(oracles.all_runs(shape))
@@ -494,7 +511,7 @@ def test_semantic_levels_are_prefix_counts():
     for n in range(1, 7):
         for shape in oracles.all_shapes(n):
             t = trees.parse_process(oracles.to_term(shape))
-            sem = trees.build_semantic_tree(t)
+            sem = profiles.build_semantic_tree(t)
             assert sem.level_counts() == oracles.profile_via_trie(shape)
 
 
@@ -503,11 +520,11 @@ def test_semantic_budget():
     # that bound, one past it on the exact count
     t = trees.parse_process(oracles.to_term(((),) * 10, None))
     with pytest.raises(trees.BudgetError) as e:
-        trees.build_semantic_tree(t, node_budget=100)
+        profiles.build_semantic_tree(t, node_budget=100)
     assert e.value.predicted == Decimal("1e6")
     assert e.value.budget == 100
     with pytest.raises(trees.BudgetError) as e:
-        trees.build_semantic_tree(t, node_budget=5 * 10 ** 6)
+        profiles.build_semantic_tree(t, node_budget=5 * 10 ** 6)
     assert e.value.predicted == 9864101
     assert e.value.budget == 5 * 10 ** 6
 
@@ -520,19 +537,19 @@ def test_semantic_budget_past_the_profile_cap():
     t = trees.parse_process("a." * 5990 + "b.(" + " || ".join("cdefghij") + ")")
     assert t.size == 5999
     with pytest.raises(trees.BudgetError) as e:
-        trees.build_semantic_tree(t, node_budget=5998)
+        profiles.build_semantic_tree(t, node_budget=5998)
     assert e.value.predicted == 5999
     assert "at least 5999 nodes, one per level" in str(e.value)
     with pytest.raises(trees.BudgetError) as e:
-        trees.build_semantic_tree(t, node_budget=9999)
+        profiles.build_semantic_tree(t, node_budget=9999)
     assert e.value.predicted == 10 ** 4
     assert "at least 10^4 branches" in str(e.value)
     # a budget the bounds do not exceed: the exact count decides,
     # 5991 levels of one node and sum 8!/(8-m)! over m = 1..8 below them
     with pytest.raises(trees.BudgetError) as e:
-        trees.build_semantic_tree(t, node_budget=10 ** 5)
+        profiles.build_semantic_tree(t, node_budget=10 ** 5)
     assert e.value.predicted == 115591
-    sem = trees.build_semantic_tree(t, node_budget=115591)
+    sem = profiles.build_semantic_tree(t, node_budget=115591)
     assert sem.node_count == 115591 and sem.leaf_count() == 40320
 
 
@@ -543,7 +560,7 @@ def test_semantic_leftmost_branch():
         for shape in oracles.all_shapes(n):
             t = trees.parse_process(oracles.to_term(shape))
             kids: dict[int, list[int]] = {}
-            for v, p in enumerate(trees.build_semantic_tree(t).parents, start=1):
+            for v, p in enumerate(profiles.build_semantic_tree(t).parents, start=1):
                 kids.setdefault(p, []).append(v)
             degrees, v = [], 1
             while v in kids:
@@ -554,7 +571,7 @@ def test_semantic_leftmost_branch():
 
 
 def test_semantic_dot_output(ref_tree):
-    dot = trees.build_semantic_tree(ref_tree).to_dot()
+    dot = profiles.build_semantic_tree(ref_tree).to_dot()
     assert dot.startswith("digraph") and dot.rstrip().endswith("}")
     assert dot.count("->") == 23
 
