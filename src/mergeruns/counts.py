@@ -84,37 +84,32 @@ def _ratio(num_factors: Iterable[int], den_factors: Iterable[int],
            limit: int) -> tuple[int, int]:
     """prod(num_factors) / prod(den_factors) in lowest terms, as (num, den).
 
-    Every factor is an integer in 1..limit.  Legendre's prime-exponent
-    ledger (Borwein 1985): tally the net multiplicity of every factor
-    value, read each prime's net exponent off the tally as the sum over k
-    of the multiplicities at the multiples of p^k, and build each side as
-    a product of prime powers.  A prime lands on one side only, so the pair
-    is coprime without a gcd, and no big integer is ever divided.
+    Every factor is an integer in 1..limit; a factor of 1 is tallied and
+    never read.  Legendre's prime-exponent ledger (Borwein 1985): tally the
+    net multiplicity of every factor value, read each prime's net exponent
+    off the tally as the sum over k of the multiplicities at the multiples
+    of p^k, and build each side as a product of prime powers.  A prime lands
+    on one side only, so the pair is coprime without a gcd, and no big
+    integer is ever divided.
     """
     net = [0] * (limit + 1)
     for f in num_factors:
         net[f] += 1
     for f in den_factors:
         net[f] -= 1
-    root, half = math.isqrt(limit), limit // 2
     sieve = bytearray([1]) * (limit + 1)
     sieve[:2] = b"\0\0"
-    higher = []  # the k >= 2 terms of the primes up to sqrt(limit), in order
-    for p in range(2, root + 1):
+    for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
-            e, q = 0, p * p
-            while q <= limit:
-                e += sum(net[q::q])
-                q *= p
-            higher.append(e)
-    # a prime above limit/2 is its own only multiple up to the limit
-    primes = list(compress(range(half + 1), sieve))
-    big = list(compress(range(half + 1, limit + 1), sieve[half + 1:]))
-    exponents = [sum(net[p::p]) for p in primes] + [net[p] for p in big]
-    for i, e in enumerate(higher):
-        exponents[i] += e
-    primes += big
+    primes = list(compress(range(limit + 1), sieve))
+    exponents = []
+    for p in primes:
+        e, q = 0, p
+        while q <= limit:
+            e += sum(net[q::q])
+            q *= p
+        exponents.append(e)
     num = _prime_power_product(primes, exponents)
     if min(exponents, default=0) >= 0:
         return num, 1

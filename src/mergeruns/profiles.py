@@ -104,8 +104,6 @@ def cut_count_sequence(N: int) -> list[int]:
         c2 = -(1488 + 1626 * k + 387 * k ** 2 - 21 * k ** 3)
         c3 = 1104 + 1088 * k + 351 * k ** 2 + 37 * k ** 3
         c4 = 168 + 146 * k + 42 * k ** 2 + 4 * k ** 3
-        if c4 == 0:
-            raise ArithmeticError(f"vanishing leading coefficient at index {k + 4}")
         num = c0 * seq[k] + c1 * seq[k + 1] + c2 * seq[k + 2] + c3 * seq[k + 3]
         q, r = divmod(num, c4)
         if r:

@@ -89,11 +89,13 @@ class Rng:
     def stream(self, index: int) -> "Rng":
         """Deterministic derived generator for parallel or indexed use.
 
-        The child is seeded by the text "<seed>:<index>", so distinct
-        (seed, index) pairs, and streams of streams, get distinct seeds.
-        random.Random keys a text by its bytes and their SHA-512 digest, a
-        key no small int seed equals.
+        The child is seeded by the text "<seed>:<index>" of an int index, so
+        distinct (seed, index) pairs, and streams of streams, get distinct
+        seeds.  random.Random keys a text by its bytes and their SHA-512
+        digest, a key no small int seed equals.
         """
+        if type(index) is not int:
+            raise TypeError(f"index must be an int, got {index!r}")
         child = object.__new__(Rng)
         child.seed = f"{self.seed}:{index}"
         child._r = random.Random(child.seed)
@@ -226,10 +228,8 @@ def count_runs_via_probability(t: SyntaxTree) -> int:
     """
     sizes = t.subtree_sizes()
     n = t.size
-    # steps k = 2..n of the probability product, inverted; the k = 1 ratio
-    # is n/n and contributes nothing either way
-    den_factors = [sizes[k - 1] for k in range(2, n + 1) if sizes[k - 1] > 1]
-    q, den = _ratio(range(n - 1, 0, -1), den_factors, n)
+    # steps k = 2..n of the product, inverted; step 1's n/n contributes nothing
+    q, den = _ratio(range(n - 1, 0, -1), sizes[1:], n)
     assert den == 1
     return q
 

@@ -80,6 +80,16 @@ def test_ratio_edge_multisets():
         ([125, 2], [5, 4], 125),
         ([6, 10, 15], [30, 30], 30),   # cancels to (1, 1)
         ([2] * 40, [4] * 20, 4),
+        ([2], [], 2),              # sqrt(limit) and limit/2 below 2
+        ([3], [2], 3),
+        ([4, 3], [2], 4),
+        ([7, 14], [49], 49),       # p^2 equal to the limit
+        ([49], [7], 49),
+        ([7, 14, 42], [3], 48),    # 7 just above sqrt(48)
+        ([13, 26], [2], 26),       # p exactly limit/2
+        ([26], [13, 13], 26),
+        ([13], [], 25),            # p just above limit/2
+        ([4, 3, 2, 1], [1, 1, 2, 3], 4),   # 1s on both sides
     ]
     for num, den, limit in cases:
         assert counts._ratio(num, den, limit) == _ratio_reference(num, den), (num, den)

@@ -84,6 +84,14 @@ def test_rng_rejects_seeds_that_are_not_ints(seed):
         sampling.Rng(seed)
 
 
+@pytest.mark.parametrize("index", ["1:2", 1.0, True, None])
+def test_rng_streams_reject_indices_that_are_not_ints(index):
+    # the child is seeded by the text "<seed>:<index>", so stream("1:2")
+    # would draw as stream(1).stream(2); floats and bools go as for seeds
+    with pytest.raises(TypeError):
+        sampling.Rng(0).stream(index)
+
+
 def _stream_bounds():
     """Small bounds, the bounds either side of 2^8 and of every 2^k up to
     k = 69, and two past any machine word."""
