@@ -29,6 +29,7 @@ CORPUS = Path(__file__).resolve().parent.parent / "tests" / "golden.json"
 
 REF = "a.b.(c || d.(e || f))"
 STAR = "a.(" + " || ".join(f"x{i}" for i in range(15)) + ")"
+STAR18 = "r.(" + " || ".join(f"x{i}" for i in range(17)) + ")"  # at the cut enumeration cap
 WIDE = "r.(a.b || c || d.e.f || g.(h || i) || j)"
 FOREST = "a.b || c.(d || e) || f"
 SPACED = " a\t.\n( b || c.d ) "
@@ -132,6 +133,12 @@ COMMANDS = [
     ["profile", REF, "--format", "json"],
     ["profile", STAR, "--format", "text"],
     ["profile", WIDE, "--oracle"],
+    # the admissible-cut route at its cap of 18 nodes (options first, so
+    # that the star's two test ids differ), and refused one node past it
+    ["profile", "--oracle", STAR18],
+    ["profile", "--oracle", "--format", "json", STAR18],
+    ["profile", _term(_random(18, 3)), "--oracle", "--format", "text"],
+    ["profile", _term([1] * 18 + [0]), "--oracle"],
     ["profile", FOREST, "--forest", "--format", "json"],
     ["profile", _term([200] + [0] * 200), "--format", "text"],
     ["profile", _term(_wide(300)), "--format", "csv"],

@@ -25,7 +25,6 @@ _EXPORTS = {
         "SuspendedView",
         "SyntaxTree",
         "degree_sequence_of_tree",
-        "enumerate_trees",
         "parse_process",
         "suspended_view",
         "tree_from_degree_sequence",
@@ -48,11 +47,10 @@ _EXPORTS = {
         "r_sequence",
     ),
     "profiles": (
-        "AdmissibleCut",
         "build_semantic_tree",
         "count_admissible_cuts",
         "cut_count_sequence",
-        "enumerate_admissible_cuts",
+        "cut_profile",
         "level_profile",
         "limit_profile",
         "limit_profile_error_bound",

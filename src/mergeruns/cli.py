@@ -150,6 +150,11 @@ def _sig_digits(x: Fraction | Decimal, digits: int) -> str:
         return f"{f:.{digits}g}"
     if not x:
         return "0.0"
+    # int arithmetic, not a Decimal division: Context(prec=digits).divide of
+    # Decimal(p) by Decimal(q) gives the same digits, but converting q to a
+    # Decimal is quadratic in its digits (0.167 s against 0.006 s at 10^5
+    # digits, 1.55 s against 0.041 s at 3 * 10^5, on a shared 2-core x86_64
+    # with Python 3.11.7)
     p, q = abs(x).as_integer_ratio()
     # the exponent of x's leading digit, corrected where the logarithms,
     # taken of each int whole, straddle a power of ten
@@ -321,14 +326,8 @@ def _cmd_sample(args) -> int:
 
 def _cmd_profile(args) -> int:
     t = _parse_term(args)
-    if args.oracle:
-        # the admissible-cut enumeration, exponential and for cross-checking:
-        # each cut's labellings count the prefixes of its size
-        prof = [0] * t.size
-        for cut in profiles.enumerate_admissible_cuts(t):
-            prof[cut.size - 1] += cut.labellings
-    else:
-        prof = profiles.level_profile(t)
+    # --oracle: the admissible-cut enumeration, exponential and for cross-checking
+    prof = profiles.cut_profile(t) if args.oracle else profiles.level_profile(t)
     if args.format == "json":
         # math.log10 takes an int of any size, where float(c) overflows
         print(json.dumps({"levels": list(prof),
@@ -441,7 +440,7 @@ def _check_reference_term():
     assert sampling.count_runs_via_probability(t) == 8
     assert profiles.level_profile(t) == (1, 1, 2, 4, 8, 8)
     assert profiles.semantic_size(t) == 24
-    assert len(profiles.enumerate_admissible_cuts(t)) == 11
+    assert profiles.cut_profile(t) == (1, 1, 2, 4, 8, 8)
     assert sampling.prefix_probability(t, (1, 2, 4)) == Fraction(3, 4)
     sem = profiles.build_semantic_tree(t)
     assert sem.node_count == 24

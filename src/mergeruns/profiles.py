@@ -2,42 +2,22 @@
 
 A run prefix of length p stops the process with some set of actions done;
 the done set is always a root-containing "cut" closed under parents.  The
-level profile counts prefixes per length, the cut machinery enumerates the
-underlying sets, semantic_size predicts the full computation-tree size
-without building it, and build_semantic_tree expands that tree once its size
-is known to fit the budget.
+level profile counts prefixes per length, cut_profile recounts them cut by
+cut as its independent check, semantic_size predicts the full
+computation-tree size without building it, and build_semantic_tree expands
+that tree once its size is known to fit the budget.
 """
 
 from __future__ import annotations
 
 import math
 from decimal import Decimal
-from typing import NamedTuple
 
-from .counts import hook_count
 from .trees import BudgetError, SemanticTree, SyntaxTree
 
 CUT_ENUMERATION_LIMIT = 18
 PROFILE_FAST_LIMIT = 5000
 SEMANTIC_NODE_BUDGET = 10 ** 6
-
-
-class AdmissibleCut(NamedTuple):
-    """What is left of the syntax tree after recursively removing leaves.
-
-    Equivalently a root-containing, parent-closed node set.  shape is the
-    induced tree itself (source labels kept), nodes the member source ids
-    ascending, labellings the number of run prefixes consuming exactly this
-    set, which is the hook count of the shape.
-    """
-
-    shape: SyntaxTree
-    nodes: tuple[int, ...]
-    labellings: int
-
-    @property
-    def size(self) -> int:
-        return len(self.nodes)
 
 
 def count_admissible_cuts(t: SyntaxTree) -> int:
@@ -53,36 +33,35 @@ def count_admissible_cuts(t: SyntaxTree) -> int:
     return 1 + acc[1]
 
 
-def enumerate_admissible_cuts(t: SyntaxTree) -> list[AdmissibleCut]:
-    """All nonempty admissible cuts, largest first, then shape, then ids.
+def cut_profile(t: SyntaxTree) -> tuple[int, ...]:
+    """The level profile by brute force over the admissible cuts.
 
-    Refuses trees above CUT_ENUMERATION_LIMIT nodes before doing any work.
+    The prefixes that consume exactly a cut of k nodes are its labellings,
+    its hook count k! / (product of its induced subtree sizes), so each
+    nonempty cut adds that at entry k - 1.  The independent check of
+    level_profile, sharing no code with it; refuses trees above
+    CUT_ENUMERATION_LIMIT nodes before doing any work.
     """
-    if t.size > CUT_ENUMERATION_LIMIT:
-        raise BudgetError(f"a {t.size}-node term is over the cut enumeration cap of "
-                          f"{CUT_ENUMERATION_LIMIT} nodes", t.size, CUT_ENUMERATION_LIMIT)
-
-    def cuts_of(v: int) -> list[tuple[int, ...]]:
-        # nonempty cuts of the subtree at v as ascending ids; each child
-        # independently contributes nothing or one of its own cuts, whose
-        # ids all follow those already chosen
-        options = [(v,)]
-        for c in t.children(v):
-            sub_options = cuts_of(c)
-            options += [base + sub for base in options for sub in sub_options]
-        return options
-
-    decorated = []
-    for nodes in cuts_of(1):
-        # member ids ascending are the induced subtree's preorder, so the
-        # shape needs no preorder check; a member's parent is the member at
-        # its position (0 for the root's parent)
-        position = dict(zip((0, *nodes), range(len(nodes) + 1)))
-        shape = SyntaxTree._from_preorder(tuple([t.label(v) for v in nodes]),
-                                          [position[t.parent(v)] for v in nodes])
-        decorated.append(AdmissibleCut(shape, nodes, hook_count(shape)))
-    decorated.sort(key=lambda c: (-c.size, c.shape.degree_word(), c.nodes))
-    return decorated
+    n = t.size
+    if n > CUT_ENUMERATION_LIMIT:
+        raise BudgetError(f"a {n}-node term is over the cut enumeration cap of "
+                          f"{CUT_ENUMERATION_LIMIT} nodes", n, CUT_ENUMERATION_LIMIT)
+    # cuts[v] holds, per cut of v's subtree containing v, its node count k
+    # and the product q of the induced subtree sizes of its members below v;
+    # reverse id order completes a child's list before crossing it into its
+    # parent's, where each child adds nothing or one of its own cuts.  Under
+    # the cap every operand is below 18! < 2^63, so plain int arithmetic
+    # does, with no factor ledger
+    cuts = [[(1, 1)] for _ in range(n + 1)]
+    for v in range(n, 1, -1):
+        below = cuts[v]
+        cuts[v] = None
+        acc = cuts[t.parent(v)]
+        acc += [(k + j, q * j * r) for k, q in acc for j, r in below]
+    prof = [0] * n
+    for k, q in cuts[1]:
+        prof[k - 1] += math.factorial(k) // (k * q)
+    return tuple(prof)
 
 
 _M_CACHE: list[int] = [0, 1, 2, 7, 29, 131, 625]

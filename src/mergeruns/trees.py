@@ -4,8 +4,8 @@ A term like ``a.b.(c || d.(e || f))`` denotes a process whose actions form a
 plane rooted tree: prefixing adds a child, parallel composition adds several.
 Nodes are addressed by preorder id 1..n, which is stable under relabelling and
 is the identity used by every other module.  This module provides the parser,
-the computation-tree type, degree-sequence encoding, and exhaustive
-enumeration; it imports no other module of the package.
+the computation-tree type and the degree-sequence encoding; it imports no
+other module of the package.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from collections import Counter
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterator, NamedTuple, Sequence
 
-ENUMERATION_LIMIT = 12
 FOREST_ROOT_LABEL = "#root"
 
 
@@ -85,9 +84,8 @@ class SyntaxTree:
         """The tree of arrays its builder has already numbered in preorder.
 
         For parse_process and from_degree_word, which place each node under
-        a node on the path from the root to the node before it, and for the
-        admissible cuts, whose ascending member ids are the induced preorder,
-        so the arrays hold the invariant __init__ would walk them to check.
+        a node on the path from the root to the node before it, so the
+        arrays hold the invariant __init__ would walk them to check.
         The caller passes labels as a tuple of the same length as parents.
         """
         tree = object.__new__(cls)
@@ -409,7 +407,7 @@ def _parse_error(text: str, allow_forest: bool, index: int, message: str) -> Par
     return ParseError(message, position)
 
 
-# -- encodings and enumeration ----------------------------------------------
+# -- encodings --------------------------------------------------------------
 
 def degree_sequence_of_tree(t: SyntaxTree) -> tuple[int, ...]:
     """Branch encoding u of the tree: u_p = (sum of first p degrees) - (p-1).
@@ -448,40 +446,6 @@ def default_labels(n: int) -> list[str]:
             s = chr(97 + r) + s
         out.append(s)
     return out
-
-
-def enumerate_trees(n: int) -> Iterator[SyntaxTree]:
-    """Yield every plane rooted tree of size n exactly once.
-
-    Canonical order: lexicographic on the prefix-traversal degree word, which
-    makes index-range partitioning of sweeps deterministic.
-    """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if n > ENUMERATION_LIMIT:
-        raise BudgetError(f"enumeration of size {n} exceeds the oracle limit {ENUMERATION_LIMIT}",
-                          n, ENUMERATION_LIMIT)
-    labels = default_labels(n)
-    word: list[int] = []
-
-    def rec(open_slots: int) -> Iterator[SyntaxTree]:
-        placed = len(word)
-        if placed == n:
-            if open_slots == 0:
-                yield SyntaxTree.from_degree_word(word, labels)
-            return
-        remaining = n - placed
-        for d in range(0, remaining):
-            new_open = open_slots - 1 + d
-            if new_open < 0 or new_open > remaining - 1:
-                continue
-            if new_open == 0 and remaining > 1:
-                continue
-            word.append(d)
-            yield from rec(new_open)
-            word.pop()
-
-    yield from rec(1)
 
 
 def validate_run_prefix(t: SyntaxTree, sigma: Sequence[int]) -> tuple[int, ...]:

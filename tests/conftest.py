@@ -5,12 +5,18 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import oracles
 from mergeruns import sampling, trees
 
 REFERENCE_TERM = "a.b.(c || d.(e || f))"
 REFERENCE_SHAPE = (((), ((), ())),)  # nested-tuple form for the oracles
 
 ACCEPTANCE_LINES: list[str] = []
+
+
+def plane_trees(n: int) -> list[trees.SyntaxTree]:
+    """Every plane tree of n nodes, parsed from the oracles' shapes."""
+    return [trees.parse_process(oracles.to_term(shape)) for shape in oracles.all_shapes(n)]
 
 
 @pytest.fixture

@@ -1,13 +1,11 @@
 """Brute-force reference implementations used only by the tests.
 
 Everything here works on plain nested tuples (a shape is a tuple of child
-shapes), parent arrays or term text, and never calls into the package, so agreement between these
-routines and the library is a genuine cross-check, not a tautology.  There
-are two exceptions.  sample_run_pst is the run sampler as first written on
-the package's PartialSumTree: a draw-for-draw reference for the inlined heap
-of sampling.sample_run, not an independent oracle.  cut_profile adds up the
-package's admissible cuts, the route `profile --oracle` prints, so that the
-cut enumeration and the convolution profile are held to each other.
+shapes), parent arrays or term text, and never calls into the package, so
+agreement between these routines and the library is a genuine cross-check,
+not a tautology.  The one exception is sample_run_pst, the run sampler as
+first written on the package's PartialSumTree: a draw-for-draw reference for
+the inlined heap of sampling.sample_run, not an independent oracle.
 """
 
 import math
@@ -191,17 +189,6 @@ def profile_via_cuts(shape) -> tuple:
     for members in all_cuts(shape):
         acc[len(members) - 1] += run_count(induced_shape(shape, members))
     return tuple(acc)
-
-
-def cut_profile(t) -> tuple:
-    """Run-prefix counts per length of the SyntaxTree t: each cut of
-    profiles.enumerate_admissible_cuts adds its labellings at its size."""
-    from mergeruns import profiles
-
-    out = [0] * t.size
-    for cut in profiles.enumerate_admissible_cuts(t):
-        out[cut.size - 1] += cut.labellings
-    return tuple(out)
 
 
 # -- large trees as parent lists ---------------------------------------------

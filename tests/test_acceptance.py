@@ -77,14 +77,14 @@ def test_criterion_01_reference_anchors():
 def test_criterion_02_routes_agree_small():
     c = Criterion(2, "three-routes-per-shape", 120.0)
     for n in range(1, 8):
-        for t in trees.enumerate_trees(n):
+        for t in conftest.plane_trees(n):
             sem = profiles.build_semantic_tree(t)
             hook = counts.hook_count(t)
             c.check(sem.leaf_count() == hook, f"leaves != hook at {t.to_term()}")
             rho = sampling.prefix_probability(t, range(1, n + 1))
             c.check(Fraction(1) / rho == hook, f"1/rho != hook at {t.to_term()}")
             fast = profiles.level_profile(t)
-            oracle = oracles.cut_profile(t)
+            oracle = profiles.cut_profile(t)
             c.check(sem.level_counts() == fast == oracle,
                     f"profile routes differ at {t.to_term()}")
             if c.failures:
@@ -101,7 +101,7 @@ def test_criterion_03_aggregates_match_means():
         hooks = 0
         sizes = 0
         levels = [0] * n
-        for t in trees.enumerate_trees(n):
+        for t in conftest.plane_trees(n):
             hooks += counts.hook_count(t)
             prof = profiles.level_profile(t)
             sizes += sum(prof)
@@ -168,7 +168,7 @@ def test_criterion_07_geometric_mean():
     with mp.workprec(200):
         for n in range(3, 10):
             logs = []
-            for t in trees.enumerate_trees(n):
+            for t in conftest.plane_trees(n):
                 logs.append(mp.log(counts.hook_count(t)))
             brute = mp.exp(mp.fsum(logs) / counts.catalan(n))
             lib = mp.mpf(str(counts.geometric_mean_width(n, precision=160)))
@@ -284,7 +284,7 @@ def test_criterion_10_linear_counting(kernel_calls):
 def test_criterion_11_degree_sequences():
     c = Criterion(11, "degree-sequence-round-trip", 10.0)
     for n in range(1, 10):
-        for t in trees.enumerate_trees(n):
+        for t in conftest.plane_trees(n):
             u = trees.degree_sequence_of_tree(t)
             back = trees.tree_from_degree_sequence(u, t.labels)
             c.check(back == t, f"round trip fails for {t.to_term()}")

@@ -7,6 +7,7 @@ import time
 import mpmath as mp
 import pytest
 
+import conftest
 import oracles
 from mergeruns import counts, profiles, sampling, trees
 
@@ -24,15 +25,6 @@ def path(n):
 def test_cut_count_reference(ref_tree):
     # the count includes the empty cut; the enumeration lists nonempty ones
     assert profiles.count_admissible_cuts(ref_tree) == 12
-    assert len(profiles.enumerate_admissible_cuts(ref_tree)) == 11
-
-
-def test_admissible_cut_is_immutable_and_keeps_its_repr(ref_tree):
-    cut = profiles.enumerate_admissible_cuts(ref_tree)[-1]
-    with pytest.raises(AttributeError):
-        cut.labellings = 2
-    assert repr(cut) == "AdmissibleCut(shape=SyntaxTree('a'), nodes=(1,), labellings=1)"
-    assert cut.size == 1
 
 
 def test_cut_count_extremes():
@@ -49,44 +41,25 @@ def test_cut_count_matches_oracle():
 
 
 def test_enumerate_cuts_matches_oracle():
-    for n in range(1, 7):
-        for shape in oracles.all_shapes(n):
-            t = trees.parse_process(oracles.to_term(shape))
-            cuts = profiles.enumerate_admissible_cuts(t)
-            assert {c.nodes for c in cuts} == set(oracles.all_cuts(shape))
-            for c in cuts:
-                want = oracles.induced_shape(shape, c.nodes)
-                assert c.shape.degree_word() == oracles.degree_word(want)
-                assert c.labellings == oracles.run_count(want)
-                assert c.size == len(c.nodes)
-
-
-def test_cut_shapes_pass_the_constructor_check():
-    # cut shapes are built without SyntaxTree's preorder check; the
-    # validating constructor takes their arrays and builds the same tree
     for n in range(1, 8):
         for shape in oracles.all_shapes(n):
             t = trees.parse_process(oracles.to_term(shape))
-            for c in profiles.enumerate_admissible_cuts(t):
-                parents = [c.shape.parent(v) for v in range(1, c.size + 1)]
-                assert c.shape == trees.SyntaxTree(c.shape.labels, parents)
+            assert profiles.cut_profile(t) == oracles.profile_via_cuts(shape)
 
 
-def test_enumerate_cuts_order_and_labels(ref_tree):
-    cuts = profiles.enumerate_admissible_cuts(ref_tree)
-    sizes = [c.size for c in cuts]
-    assert sizes == sorted(sizes, reverse=True)
-    assert cuts[0].nodes == (1, 2, 3, 4, 5, 6)
-    assert cuts[0].labellings == 8
-    assert cuts[-1].nodes == (1,)
-    # induced shapes keep the source labels
-    assert cuts[0].shape.labels == ("a", "b", "c", "d", "e", "f")
+def test_cut_profile_at_the_cap():
+    # 2^17 cuts of the star and five uniform shapes, each at the cap of 18
+    # nodes, against the convolution
+    n = profiles.CUT_ENUMERATION_LIMIT
+    shapes = [star(n)] + [sampling.uniform_random_tree(n, sampling.Rng(seed)) for seed in range(5)]
+    for t in shapes:
+        assert profiles.cut_profile(t) == profiles.level_profile(t)
 
 
 def test_enumerate_cuts_budget():
     # refused on the node count alone, before any cut is counted
     with pytest.raises(trees.BudgetError) as e:
-        profiles.enumerate_admissible_cuts(star(20))
+        profiles.cut_profile(star(20))
     assert e.value.predicted == 20
     assert e.value.budget == profiles.CUT_ENUMERATION_LIMIT
     assert str(e.value) == "a 20-node term is over the cut enumeration cap of 18 nodes"
@@ -96,7 +69,7 @@ def test_cut_labellings_sum_to_semantic_size():
     for n in range(1, 7):
         for shape in oracles.all_shapes(n):
             t = trees.parse_process(oracles.to_term(shape))
-            total = sum(c.labellings for c in profiles.enumerate_admissible_cuts(t))
+            total = sum(profiles.cut_profile(t))
             assert total == oracles.semantic_size_via_trie(shape)
 
 
@@ -148,13 +121,13 @@ def test_profile_routes_agree():
         for shape in oracles.all_shapes(n):
             t = trees.parse_process(oracles.to_term(shape))
             fast = profiles.level_profile(t)
-            assert fast == oracles.cut_profile(t)
+            assert fast == profiles.cut_profile(t)
             assert fast == oracles.profile_via_trie(shape)
 
 
 def test_profile_oracle_size_limit():
     with pytest.raises(trees.BudgetError):
-        oracles.cut_profile(path(19))
+        profiles.cut_profile(path(19))
     assert profiles.level_profile(path(19)) == (1,) * 19
 
 
@@ -169,7 +142,7 @@ def test_profile_ends():
 
 def test_profile_monotone():
     for n in range(1, 9):
-        for t in trees.enumerate_trees(n):
+        for t in conftest.plane_trees(n):
             prof = profiles.level_profile(t)
             assert all(a <= b for a, b in zip(prof, prof[1:]))
 
@@ -302,7 +275,7 @@ def test_profile_sums_match_level_means():
     for n in range(1, 9):
         c = counts.catalan(n)
         acc = [0] * n
-        for t in trees.enumerate_trees(n):
+        for t in conftest.plane_trees(n):
             for l, v in enumerate(profiles.level_profile(t)):
                 acc[l] += v
         for l in range(n):

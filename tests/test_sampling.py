@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 import oracles
 from mergeruns import counts, sampling, trees
 
@@ -334,7 +335,7 @@ def test_prefix_probability_children_sum_to_parent(ref_tree):
 
 def test_count_runs_matches_hook():
     for n in range(1, 9):
-        for t in trees.enumerate_trees(n):
+        for t in conftest.plane_trees(n):
             assert sampling.count_runs_via_probability(t) == counts.hook_count(t)
 
 
@@ -449,7 +450,7 @@ def _same_draws(t, seed, runs):
 
 def test_sample_run_matches_partial_sum_tree_small():
     for n in range(1, 8):
-        for t in trees.enumerate_trees(n):
+        for t in conftest.plane_trees(n):
             for seed in (0, 5, 2024):
                 _same_draws(t, seed, 3)
 
@@ -492,7 +493,7 @@ def test_sampled_run_probability_is_uniform():
     # the probability of whatever comes out is exactly one over the count
     rng = sampling.Rng(41)
     for n in range(2, 9):
-        for t in trees.enumerate_trees(n):
+        for t in conftest.plane_trees(n):
             run = sampling.sample_run(t, rng)
             assert sampling.prefix_probability(t, run) == \
                 Fraction(1, counts.hook_count(t))

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 import oracles
-from mergeruns import cli, counts, profiles, sampling, trees
+from mergeruns import cli, profiles, sampling, trees
 
 
 # -- parsing ------------------------------------------------------------------
@@ -131,7 +132,7 @@ def test_preorder_builders_match_the_validating_constructor():
     # check: every shape of up to 9 nodes, its forest form when the root
     # has two or more children, and uniform shapes up to 2000 nodes
     rng = sampling.Rng(61)
-    shapes = [t for n in range(1, 10) for t in trees.enumerate_trees(n)]
+    shapes = [t for n in range(1, 10) for t in conftest.plane_trees(n)]
     shapes += [sampling.uniform_random_tree(n, rng) for n in (10, 50, 300, 2000) for _ in range(3)]
     forests = 0
     for t in shapes:
@@ -430,28 +431,6 @@ def test_default_labels():
     assert labels[25] == "z"
     assert labels[26] == "aa"
     assert labels[27] == "ab"
-
-
-# -- enumeration --------------------------------------------------------------
-
-def test_enumerate_counts_and_order():
-    for n in range(1, 9):
-        words = [t.degree_word() for t in trees.enumerate_trees(n)]
-        assert len(words) == counts.catalan(n)
-        assert len(set(words)) == len(words)
-        assert words == sorted(words)
-
-
-def test_enumerate_matches_oracle():
-    for n in range(1, 8):
-        got = {t.degree_word() for t in trees.enumerate_trees(n)}
-        want = {oracles.degree_word(s) for s in oracles.all_shapes(n)}
-        assert got == want
-
-
-def test_enumerate_limit():
-    with pytest.raises(trees.BudgetError):
-        next(trees.enumerate_trees(trees.ENUMERATION_LIMIT + 1))
 
 
 # -- run prefixes and suspension ----------------------------------------------
