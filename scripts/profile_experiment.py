@@ -16,15 +16,15 @@ behind --large so a typo does not start a long run by accident.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-
-import mpmath as mp
 
 from mergeruns import counts, profiles, sampling
 
 
 def ln_fraction(q) -> float:
-    return float(mp.log(mp.mpf(q.numerator)) - mp.log(mp.mpf(q.denominator)))
+    # math.log takes an int of any size, where float(q) can overflow
+    return math.log(q.numerator) - math.log(q.denominator)
 
 
 def main() -> int:
@@ -53,7 +53,7 @@ def main() -> int:
         t = sampling.uniform_random_tree(n, rng)
         prof = profiles.level_profile(t)
         for l, v in enumerate(prof):
-            sampled_logs[l].append(mp.log(v))
+            sampled_logs[l].append(math.log(v))
 
     print(f"# size {n}, {args.samples} samples, seed {args.seed}")
     print("c,i,exact,limit,sampled,|exact-limit|,bound")
@@ -66,7 +66,7 @@ def main() -> int:
         exact = ln_fraction(counts.mean_level_width(n, i))
         limit = profiles.limit_profile(c, n)
         level = n - 1 - i  # profile index measured from the root
-        sampled = float(mp.fsum(sampled_logs[level]) / len(sampled_logs[level]))
+        sampled = math.fsum(sampled_logs[level]) / len(sampled_logs[level])
         gap = abs(exact - limit)
         bound = profiles.limit_profile_error_bound(c, n)
         print(f"{c:.4f},{i},{exact:.6f},{limit:.6f},{sampled:.6f},"

@@ -1,7 +1,8 @@
 """Counting sequences and asymptotics for interleaved runs.
 
-Everything exact is integer or Fraction arithmetic; everything approximate
-returns an Approx carrying a certified or heuristic error bound, computed in
+Everything exact is integer or Fraction arithmetic.  The asymptotics and the
+constant L return an Approx carrying a certified or heuristic error bound, and
+geometric_mean_width a Decimal within a stated relative bound, all computed in
 the standard library's decimal arithmetic (its exp, ln and sqrt are
 correctly rounded).  The factorially large values here (run counts easily
 exceed 10^36 by n = 40) stay exact, which is the point of the package.

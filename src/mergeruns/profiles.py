@@ -154,7 +154,10 @@ def _prefix_counts(t: SyntaxTree) -> list[int]:
 
     Vectors are kept reversed between nodes, so shifting in the node is an
     append and a lone child's vector is taken as it is: a chain costs O(n)
-    in all.
+    in all.  Reverse id order finishes a node's children, last first, before
+    the node; each waits under its parent's key until the parent pops them.
+    Two children merge as they come (the fold never wins there, and the
+    first merge is a copy), three or more in child order after grouping.
     """
     def merged(acc: list[int], other: list[int]) -> list[int]:
         # the binomial convolution by rows of other (other[0] == 1) over
@@ -170,62 +173,58 @@ def _prefix_counts(t: SyntaxTree) -> list[int]:
                 w = w * (i + j + 1) // (i + 1)
         return out
 
-    n = t.size
-    sizes = t.subtree_sizes()
-    vecs: list[list[int] | None] = [None] * (n + 1)
-    for v in range(n, 0, -1):
-        kids = []
-        c = v + 1  # the children: v + 1, then each id past the last one's subtree
-        end = v + sizes[v - 1]
-        while c < end:
-            kids.append(vecs[c])
-            vecs[c] = None  # free as we go, vectors get long
-            c += sizes[c - 1]
+    parent = t.parent
+    waiting: dict[int, list[list[int]]] = {}
+    for v in range(t.size, 0, -1):
+        kids = waiting.pop(v, ())
         if len(kids) == 1:
-            kids[0].append(1)
-            vecs[v] = kids[0]
-            continue
-        acc = [1]
-        if len(kids) > 1:
-            # equal vectors have equal lengths, so only those are compared
-            groups: dict[int, list[list]] = {}
-            for vec in kids:
-                same = groups.setdefault(len(vec), [])
-                for g in same:
-                    if g[0] == vec:
-                        g[1] += 1
-                        break
-                else:
-                    same.append([vec, 1])
-            repeated = [g for same in groups.values() for g in same if g[1] > 1]
-            rows, width, deg = 0, 1, 0  # the row merges of the same children
-            for vec, k in repeated:
-                deg += len(vec) - 1
-                for _ in range(k):
-                    rows += (min(width, len(vec)) - 1) * max(width, len(vec))
-                    width += len(vec) - 1
-            # deg Q * (deg R + deg D) products, with deg R = deg D - 1
-            if repeated and (width - 1) * (2 * deg - 1) < rows:
-                (p, k), *parts = [(vec[::-1], k) for vec, k in repeated]
-                d, r = p, [k * a for a in p[1:]]
-                for p, k in parts:
-                    r = [a + k * b for a, b in zip(merged(r, p), merged(d, p[1:]))]
-                    d = merged(d, p)
-                binom = [1] + [0] * deg  # binom(m, j)
-                for m in range(width - 1):
-                    q = 0
-                    for j in range(min(m + 1, deg) - 1, -1, -1):
-                        q += acc[m - j] * (binom[j] * r[j] - binom[j + 1] * d[j + 1])
-                        binom[j + 1] += binom[j]  # to binom(m + 1, j + 1), once read
-                    acc.append(q)
-                kids = [g[0] for same in groups.values() for g in same if g[1] == 1]
-        for other in kids:
-            other.reverse()
-            acc = merged(acc, other)
-        acc.reverse()
+            acc = kids[0]
+        else:
+            acc = [1]
+            # two children hold at most an equal pair of length L >= 2, whose
+            # rows, L(L - 1), never cost more than its fold, (2L - 2)(2L - 3)
+            if len(kids) > 2:
+                kids.reverse()  # to child order, which the groups and merges follow
+                # equal vectors have equal lengths, so only those are compared
+                groups: dict[int, list[list]] = {}
+                for vec in kids:
+                    same = groups.setdefault(len(vec), [])
+                    for g in same:
+                        if g[0] == vec:
+                            g[1] += 1
+                            break
+                    else:
+                        same.append([vec, 1])
+                repeated = [g for same in groups.values() for g in same if g[1] > 1]
+                rows, width, deg = 0, 1, 0  # the row merges of the same children
+                for vec, k in repeated:
+                    deg += len(vec) - 1
+                    for _ in range(k):
+                        rows += (min(width, len(vec)) - 1) * max(width, len(vec))
+                        width += len(vec) - 1
+                # deg Q * (deg R + deg D) products, with deg R = deg D - 1
+                if repeated and (width - 1) * (2 * deg - 1) < rows:
+                    (p, k), *parts = [(vec[::-1], k) for vec, k in repeated]
+                    d, r = p, [k * a for a in p[1:]]
+                    for p, k in parts:
+                        r = [a + k * b for a, b in zip(merged(r, p), merged(d, p[1:]))]
+                        d = merged(d, p)
+                    binom = [1] + [0] * deg  # binom(m, j)
+                    for m in range(width - 1):
+                        q = 0
+                        for j in range(min(m + 1, deg) - 1, -1, -1):
+                            q += acc[m - j] * (binom[j] * r[j] - binom[j + 1] * d[j + 1])
+                            binom[j + 1] += binom[j]  # to binom(m + 1, j + 1), once read
+                        acc.append(q)
+                    kids = [g[0] for same in groups.values() for g in same if g[1] == 1]
+            for other in kids:
+                other.reverse()
+                acc = merged(acc, other)
+            acc.reverse()
         acc.append(1)
-        vecs[v] = acc
-    return vecs[1][-2::-1]
+        if v > 1:
+            waiting.setdefault(parent(v), []).append(acc)
+    return acc[-2::-1]
 
 
 def semantic_size(t: SyntaxTree) -> int:

@@ -106,12 +106,13 @@ class Rng:
 
 
 class PartialSumTree:
-    """Weighted sampling structure over a fixed entry list.
+    """The weighted multiset: update an entry's weight, sample an entry
+    with probability weight / total_weight, and audit the cached sums.
 
     Entries sit in a complete binary heap layout in their given order
-    (children of slot i are 2i+1 and 2i+2); every slot caches its subtree's
-    weight sum, so sampling and weight updates both walk one root path.
-    Zero-weight entries stay in place and are simply never drawn.
+    (children of slot i are 2i+1 and 2i+2): ``weights[i]`` is slot i's own
+    weight and ``below[i]`` its subtree's sum, so sampling and weight
+    updates both walk one root path.  Zero-weight entries are never drawn.
     """
 
     __slots__ = ("keys", "weights", "below", "slot_of")
@@ -127,31 +128,13 @@ class PartialSumTree:
             if w < 0:
                 raise ValueError(f"negative weight for {k!r}")
             self.weights.append(w)
-        m = len(items)
         self.below = list(self.weights)
-        for i in range(m - 1, 0, -1):
+        for i in range(len(items) - 1, 0, -1):
             self.below[(i - 1) >> 1] += self.below[i]
-
-    def __len__(self) -> int:
-        return len(self.keys)
 
     @property
     def total_weight(self) -> int:
         return self.below[0] if self.below else 0
-
-    def weight(self, key) -> int:
-        return self.weights[self.slot_of[key]]
-
-    def left_sum(self, slot: int = 0) -> int:
-        child = 2 * slot + 1
-        return self.below[child] if child < len(self.keys) else 0
-
-    def right_sum(self, slot: int = 0) -> int:
-        child = 2 * slot + 2
-        return self.below[child] if child < len(self.keys) else 0
-
-    def depth(self) -> int:
-        return len(self.keys).bit_length()
 
     def update(self, key, weight: int) -> int:
         """Set an entry's weight; returns how many slots were touched."""
@@ -175,17 +158,22 @@ class PartialSumTree:
         if total <= 0:
             raise ValueError("total weight is zero, nothing to sample")
         x = rng.uniform_int(total)
+        weights, below = self.weights, self.below
+        m = len(weights)
         i = 0
         while True:
-            left = self.left_sum(i)
-            if x <= left:
-                i = 2 * i + 1
-                continue
-            x -= left
-            if x <= self.weights[i]:
+            left = 2 * i + 1
+            if left < m:
+                b = below[left]
+                if x <= b:
+                    i = left
+                    continue
+                x -= b
+            w = weights[i]
+            if x <= w:
                 return self.keys[i]
-            x -= self.weights[i]
-            i = 2 * i + 2
+            x -= w
+            i = left + 1
 
     def audit(self) -> bool:
         """Recompute every cached sum; True when all of them check out."""
@@ -261,8 +249,8 @@ def sample_run(t: SyntaxTree, rng: Rng) -> tuple[int, ...]:
     PartialSumTree.update does.  The sums before every draw are those of
     the same procedure on a PartialSumTree, so the runs and the generator's
     state afterwards equal that route's.  It is inlined because a run
-    would otherwise build one tree object and make a method call per heap
-    level, which cost about half the sampler's time.
+    would otherwise build one tree object, with a key map it never needs,
+    and make a method call per enabled action and per draw.
     """
     sizes = t.subtree_sizes()
     n = t.size

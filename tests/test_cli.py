@@ -805,6 +805,34 @@ def test_commands_run_on_the_standard_library_alone(capsys):
         assert out == run(capsys, *argv)[1], argv[:2]
 
 
+EXPERIMENT_SCRIPT = """
+import contextlib, io, json, runpy, sys
+sys.modules["mpmath"] = None  # any import of mpmath raises ImportError
+sys.argv = sys.argv[1:]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    try:
+        runpy.run_path(sys.argv[0], run_name="__main__")
+    except SystemExit as stop:
+        code = stop.code
+print(json.dumps([code, out.getvalue()]))
+"""
+
+
+def test_experiment_script_runs_on_the_standard_library_alone():
+    # scripts/profile_experiment.py with mpmath unimportable: its exact
+    # column is the log of the exact mean as mpmath takes it
+    script = Path(__file__).resolve().parents[1] / "scripts" / "profile_experiment.py"
+    code, out = _fresh_python(EXPERIMENT_SCRIPT, str(script), "--size", "20", "--samples", "5")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:2] == ["# size 20, 5 samples, seed 1", "c,i,exact,limit,sampled,|exact-limit|,bound"]
+    assert len(lines) == 11
+    for line in lines[2:]:
+        q = counts.mean_level_width(20, int(line.split(",")[1]))
+        assert line.split(",")[2] == f"{float(mp.log(q.numerator) - mp.log(q.denominator)):.6f}"
+
+
 # -- lazy library modules -------------------------------------------------------------
 # A lazy module sits in sys.modules before its body runs; it has run once
 # its type is the plain module type.

