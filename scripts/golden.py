@@ -104,6 +104,13 @@ COMMANDS = [
     ["count", "a.(b || c).d"],
     ["count", "a.é"],
     ["count", "   "],
+    ["count", "a)"],
+    ["count", "a.(b"],
+    ["count", "a."],
+    ["count", "a b"],
+    ["count", "a.(b) c"],
+    ["count", "(a)"],
+    ["count", "--forest", "a || b.)"],
     ["count"],
     ["count", REF, "--input", "term.txt"],
     # prob

@@ -6,12 +6,20 @@ Nodes are addressed by preorder id 1..n, which is stable under relabelling and
 is the identity used by every other module.  This module provides the parser,
 the computation-tree type and the degree-sequence encoding; it imports no
 other module of the package.
+
+The parser splits a term on its action names, a chunk at a time: the
+labels come from the split, each distinct separator between two names is
+classified once per call, and one step per action writes the node's
+parent.  A rejected term is worded from the same classification, with the
+fault priorities stated in parse_process.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from collections import Counter
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Iterator, NamedTuple, Sequence
 
@@ -289,9 +297,18 @@ def _dot(graph_name: str, labels: Sequence[str], parents: Sequence[int]) -> str:
 
 # -- parsing ----------------------------------------------------------------
 
-_TOKENS = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\|\||\S")
-_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+_NAME = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)")
+_NAME_START = re.compile(r"(?<![A-Za-z0-9_])[A-Za-z_]")
+_CHUNK = 1 << 14                    # characters split at once, up to the next name
+_SEPARATOR_TOKENS = re.compile(r"\|\||\S")
 _OPERATORS = frozenset((".", "(", ")", "||"))
+_NEED_TERM, _NEED_TAIL, _AFTER_NAME, _AFTER_GROUP = range(4)
+_EXPECTED = ("expected an action name", "expected an action name or '('")  # by state
+# what a separator between two names does: "." and ".(" hang the next node
+# under the one before, k >= 0 closes k groups and then "||" hangs it beside
+# its sibling, and a separator the grammar rejects at any depth closes more
+# groups than any term opens, so the parse stops there as at an unmatched ")"
+_DOT, _OPEN, _REJECTED = -1, -2, math.inf
 
 
 def parse_process(text: str, allow_forest: bool = False) -> SyntaxTree:
@@ -310,101 +327,168 @@ def parse_process(text: str, allow_forest: bool = False) -> SyntaxTree:
     reserved and cannot be written in input).  Of several faults the first
     character that starts no token is reported, then a top-level '||'
     outside forest mode, then the first syntax error.
+
+    A split on the action names, about _CHUNK characters at a time, gives
+    the labels and the separator text between each two of them.  Each
+    distinct separator is classified once per call (_SeparatorCodes), and
+    one step per action then writes the node's parent, touching the stack
+    of open groups only at '.(' and '||'.  A rejection is worded by the
+    same walk over the separators' tokens (_walk), under the priorities
+    above.
     """
-    # names, '||' and every other non-space character, one token each
-    tokens = _TOKENS.findall(text)
-    if not tokens:
-        raise ParseError("empty input", 0)
-
-    NEED_TERM, NEED_TAIL, AFTER_NAME, AFTER_GROUP = range(4)
-    state = NEED_TERM
-    wrapped = False
+    # Each chunk is cut just before a name, and its separator strings are
+    # dropped before the next chunk is split, whose strings then fill the
+    # space they leave: the labels stay packed, and no more than one
+    # chunk's separators are alive at once.  A split gives the separators
+    # at even indices and the names between them at odd ones.
     labels: list[str] = []
-    parents: list[int] = []
-    pending = 0                     # parent id for the next created node
-    current = 0                     # most recent plain action node
-    frames: list[int] = []          # parent ids of open parallel groups
+    codes: list[float] = []
+    code_of = _SeparatorCodes().__getitem__
+    start = 0
+    while True:
+        cut = _NAME_START.search(text, start + _CHUNK)
+        stop = cut.start() if cut else len(text)
+        seps = _NAME.split(text[start:stop])
+        if not start:
+            first = seps[0]
+        labels += seps[1::2]
+        del seps[1::2]
+        if not cut:
+            break
+        # a name follows the chunk's last separator; a later chunk's
+        # separator 0 is empty
+        codes += map(code_of, islice(seps, 1, None))
+        start = stop
+    codes += map(code_of, islice(seps, 1, len(seps) - 1))
+    last = seps[-1]
+    del seps, code_of
+    n = len(labels)
+    if not n and _SEPARATOR_TOKENS.search(text) is None:
+        raise ParseError("empty input", 0)
+    if _walk(first, _NEED_TERM, 0, labels[0] if n else None)[2]:
+        raise _parse_error(text, allow_forest, 0, 0)
 
-    for i, tok in enumerate(tokens):
-        if state >= AFTER_NAME:
-            if tok == ".":
-                if state == AFTER_GROUP:
-                    raise _parse_error(text, allow_forest, i, "'.' cannot follow a closed parallel group")
-                pending = current
-                state = NEED_TAIL
-            elif tok == "||":
-                if frames:
-                    pending = frames[-1]
-                elif wrapped:
-                    pending = 1
-                elif allow_forest:
-                    # the first top-level bar: put the synthetic root in
-                    # front, so that it gets id 1
-                    labels.insert(0, FOREST_ROOT_LABEL)
-                    parents = [0] + [p + 1 for p in parents]
-                    pending = 1
-                    wrapped = True
-                else:
-                    raise _parse_error(text, allow_forest, i, "parallel composition at top level needs forest mode")
-                state = NEED_TERM
-            elif tok == ")":
-                if not frames:
-                    raise _parse_error(text, allow_forest, i, "unmatched ')'")
-                frames.pop()
-                state = AFTER_GROUP
-            else:
-                raise _parse_error(text, allow_forest, i, f"unexpected {tok!r}")
-        elif tok[0] in _NAME_START:
-            labels.append(tok)
-            parents.append(pending)
-            current = len(labels)
-            state = AFTER_NAME
-        elif tok == "(" and state == NEED_TAIL:
-            frames.append(pending)
-            state = NEED_TERM
-        elif state == NEED_TERM:
-            raise _parse_error(text, allow_forest, i, "expected an action name")
+    parents = [0]
+    append = parents.append
+    top = 0                         # the node whose '.(' opened the innermost group, 0 at top level
+    outer: list[int] = []           # top of each enclosing group, innermost last
+    push = outer.append
+    pop = outer.pop
+    for v, code in enumerate(codes, 1):   # code of the separator after node v
+        if code == _DOT:
+            append(v)
+        elif code == _OPEN:
+            append(v)
+            push(top)
+            top = v
+        elif code:
+            if code > len(outer):   # an unmatched ')', or _REJECTED
+                raise _parse_error(text, allow_forest, v, len(outer))
+            if code > 1:
+                del outer[1 - code:]
+            top = pop()
+            append(top)
         else:
-            raise _parse_error(text, allow_forest, i, "expected an action name or '('")
-
-    end = len(tokens)
-    if state == NEED_TERM:
-        raise _parse_error(text, allow_forest, end, "expected an action name")
-    if state == NEED_TAIL:
-        raise _parse_error(text, allow_forest, end, "expected an action name or '('")
-    if frames:
-        raise _parse_error(text, allow_forest, end, "unclosed '('")
+            append(top)
+    del codes
+    if _walk(last, _AFTER_NAME, len(outer), None)[2]:
+        raise _parse_error(text, allow_forest, n, len(outer))
+    if parents.count(0) > 1:        # a '||' at top level
+        if not allow_forest:
+            raise _parse_error(text, allow_forest)
+        labels.insert(0, FOREST_ROOT_LABEL)
+        parents = [0] + [p + 1 for p in parents]
     return SyntaxTree._from_preorder(tuple(labels), parents)
 
 
-def _parse_error(text: str, allow_forest: bool, index: int, message: str) -> ParseError:
-    """The error to report once token number ``index`` (len(tokens) for the
-    end of input) broke the grammar with ``message``.
+class _SeparatorCodes(dict):
+    """One parse's code (_DOT, _OPEN, k or _REJECTED) of every distinct
+    separator between two names, worked out the first time it is asked for."""
+
+    def __missing__(self, sep: str):
+        room = len(sep)             # more open groups than sep has ')'
+        # "" stands for the name that follows: only a fault's wording names it
+        state, depth, fault = _walk(sep, _AFTER_NAME, room, "")
+        code = (_REJECTED if fault else _DOT if state == _NEED_TAIL
+                else _OPEN if depth > room else room - depth)
+        self[sep] = code
+        return code
+
+
+def _walk(sep: str, state: int, depth: int,
+          following: str | None) -> tuple[int, int, tuple[int, str] | None]:
+    """The grammar's transitions over one separator's tokens.
+
+    state is the state before them and depth the number of open groups;
+    following is the name after the separator, or None at the end of input.
+    Returns the state and depth after the tokens, and the first fault as
+    (offset in sep, message), or None.
+    """
+    for m in _SEPARATOR_TOKENS.finditer(sep):
+        tok = m.group()
+        if state >= _AFTER_NAME:
+            if tok == ")" and depth:
+                depth -= 1
+                state = _AFTER_GROUP
+                continue
+            if tok == "||":
+                state = _NEED_TERM
+                continue
+            if tok == "." and state == _AFTER_NAME:
+                state = _NEED_TAIL
+                continue
+            message = ("unmatched ')'" if tok == ")"
+                       else "'.' cannot follow a closed parallel group" if tok == "."
+                       else f"unexpected {tok!r}")
+        elif tok == "(" and state == _NEED_TAIL:
+            depth += 1
+            state = _NEED_TERM
+            continue
+        else:
+            message = _EXPECTED[state]
+        return state, depth, (m.start(), message)
+    # the following name, or the end of input
+    if following is not None:
+        message = f"unexpected {following!r}" if state >= _AFTER_NAME else None
+    else:
+        message = _EXPECTED[state] if state < _AFTER_NAME else "unclosed '('" if depth else None
+    return state, depth, message and (len(sep), message)
+
+
+def _parse_error(text: str, allow_forest: bool, j: int | None = None, depth: int = 0) -> ParseError:
+    """The error to report for text, whose separator number j (0 before the
+    first name) breaks the grammar with depth groups open before it; j is
+    None when only a top-level '||' outside forest mode does.
 
     Character positions are worked out only here.  A character that starts
-    no token and a top-level '||' outside forest mode outrank the syntax
-    error, wherever they occur.
+    no token and a top-level '||' outside forest mode outrank the grammar's
+    fault, wherever they occur.
     """
-    depth = 0
-    top_par = None
-    position = len(text)
-    for k, m in enumerate(_TOKENS.finditer(text)):
-        tok = m.group()
-        if tok[0] not in _NAME_START and tok not in _OPERATORS:
-            if tok == "|":
-                return ParseError("single '|' is not an operator, expected '||'", m.start())
-            return ParseError(f"unexpected character {tok!r}", m.start())
-        if tok == "(":
-            depth += 1
-        elif tok == ")":
-            depth = max(0, depth - 1)
-        elif tok == "||" and depth == 0 and top_par is None:
-            top_par = m.start()
-        if k == index:
-            position = m.start()
-    if top_par is not None and not allow_forest:
-        return ParseError("parallel composition at top level needs forest mode", top_par)
-    return ParseError(message, position)
+    parts = _NAME.split(text)
+    fault = None
+    top_bar = None
+    level = 0
+    start = 0
+    for k, (sep, following) in enumerate(zip(parts[::2], parts[1::2] + [None])):
+        if k == j:
+            offset, message = _walk(sep, _AFTER_NAME if k else _NEED_TERM, depth, following)[2]
+            fault = ParseError(message, start + offset)
+        for m in _SEPARATOR_TOKENS.finditer(sep):
+            tok = m.group()
+            if tok not in _OPERATORS:
+                if tok == "|":
+                    return ParseError("single '|' is not an operator, expected '||'", start + m.start())
+                return ParseError(f"unexpected character {tok!r}", start + m.start())
+            if tok == "(":
+                level += 1
+            elif tok == ")":
+                level = max(0, level - 1)
+            elif tok == "||" and not level and top_bar is None:
+                top_bar = start + m.start()
+        start += len(sep) + len(following or "")
+    if top_bar is not None and not allow_forest:
+        return ParseError("parallel composition at top level needs forest mode", top_bar)
+    return fault
 
 
 # -- encodings --------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import ast
 import json
+import random
+import re
 import sys
 from decimal import Decimal
 from itertools import accumulate, product
@@ -235,6 +237,72 @@ def test_parser_matches_reference_on_rendered_terms(text, allow_forest):
 def test_parser_matches_reference_on_mutated_terms(text):
     for allow_forest in (False, True):
         assert _parse_outcome(text, allow_forest) == _reference_outcome(text, allow_forest)
+
+
+_TERM_TOKENS = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\|\||[.()]")
+
+
+def _large_terms():
+    """(name, text) of 5000 to 10^4-node shapes and a forest, each written by
+    to_term and spaced again with whitespace drawn from _SPACES for every
+    gap between two tokens, and the ends."""
+    rnd = random.Random(27)
+
+    def uniform(n):
+        # cycle lemma: the rotation of a shuffled +1/-1 walk after its first minimum
+        steps = [1] * (n - 1) + [-1] * n
+        rnd.shuffle(steps)
+        sums = list(accumulate(steps))
+        cut = sums.index(min(sums)) + 1
+        word = [0]
+        for s in steps[cut:] + steps[:cut]:
+            word[-1] += s > 0
+            if s < 0:
+                word.append(0)
+        return word[:-1]
+
+    spine = 3000
+    words = {
+        # a leaf before each next spine node: the term ends in 3000 ')'
+        "caterpillar-leaf-first": [2, 0] * spine + [0],
+        # a leaf after each spine node's subtree: 3000 separators ') || '
+        "caterpillar-leaf-last": [2] * spine + [0] * (spine + 1),
+        "chain-10000": [1] * 9999 + [0],
+        "star-10000": [10000] + [0] * 10000,
+        # a root over chains of 1 to 140 nodes
+        "wide-9871": [140] + [d for k in range(1, 141) for d in [1] * (k - 1) + [0]],
+        "uniform-5000": uniform(5000),
+    }
+    components = [uniform(rnd.randint(1, 12)) for _ in range(800)]
+    words["forest-800"] = [len(components)] + [d for c in components for d in c]
+    names = ["a", "b", "Z", "_", "x1", "a_b", "_9"]
+    for name, word in words.items():
+        labels = [rnd.choice(names) for _ in word]
+        if name.startswith("forest"):
+            labels[0] = trees.FOREST_ROOT_LABEL
+        tokens = _TERM_TOKENS.findall(trees.SyntaxTree.from_degree_word(word, labels).to_term())
+        yield name, "".join(rnd.choice(_SPACES) + tok for tok in tokens) + rnd.choice(_SPACES)
+
+
+def test_parser_matches_reference_on_large_terms():
+    # long ')' runs, deep and wide groups and many components, then each of
+    # these edits at one point in the later two thirds: a character
+    # inserted, replaced or deleted, a ')' inserted, the next '(' or ')'
+    # deleted
+    rnd = random.Random(28)
+    for name, text in _large_terms():
+        i = rnd.randrange(len(text) // 3, len(text))
+        c = rnd.choice(_MUTATIONS)
+        texts = [text, text[:i] + c + text[i:], text[:i] + c + text[i + 1:], text[:i] + text[i + 1:],
+                 text[:i] + ")" + text[i:]]
+        for paren in "()":
+            j = text.find(paren, i)
+            if j >= 0:
+                texts.append(text[:j] + text[j + 1:])
+        for t in texts:
+            for allow_forest in (False, True):
+                assert _parse_outcome(t, allow_forest) == _reference_outcome(t, allow_forest), name
+        assert _parse_outcome(text, True)[0] == "tree"
 
 
 # -- conversions --------------------------------------------------------------
