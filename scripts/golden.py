@@ -111,6 +111,9 @@ COMMANDS = [
     ["count", "a.(b) c"],
     ["count", "(a)"],
     ["count", "--forest", "a || b.)"],
+    ["count", "a) || b"],
+    ["count", "a.(b || c)) $"],
+    ["count", "--forest", "|| a"],
     ["count"],
     ["count", REF, "--input", "term.txt"],
     # prob

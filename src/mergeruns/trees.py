@@ -9,14 +9,14 @@ other module of the package.
 
 The parser splits a term on its action names, a chunk at a time: the
 labels come from the split, each distinct separator between two names is
-classified once per call, and one step per action writes the node's
-parent.  A rejected term is worded from the same classification, with the
-fault priorities stated in parse_process.
+classified once per call by one regular expression, and one step per
+action writes the node's parent.  A rejected term is worded by one pass of
+the grammar's states over its tokens, under the fault priorities stated
+in parse_process.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from collections import Counter
 from itertools import islice
@@ -300,15 +300,17 @@ def _dot(graph_name: str, labels: Sequence[str], parents: Sequence[int]) -> str:
 _NAME = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)")
 _NAME_START = re.compile(r"(?<![A-Za-z0-9_])[A-Za-z_]")
 _CHUNK = 1 << 14                    # characters split at once, up to the next name
-_SEPARATOR_TOKENS = re.compile(r"\|\||\S")
-_OPERATORS = frozenset((".", "(", ")", "||"))
+# the separators the grammar allows between two names: "." and ".(" hang
+# the next node under the one before, k >= 0 ')' then "||" close k groups
+# and hang it beside its sibling, and one the grammar rejects closes more
+# groups than any term opens, so the parse stops there as at an unmatched ')'
+_SEPARATOR = re.compile(r"\s*(?:\.\s*(\()?|((?:\)\s*)*)\|\|)\s*")
+_DOT, _OPEN, _REJECTED = -1, -2, float("inf")
+# group 2: a character that starts no token; compiled (and cached by re)
+# only when a term is rejected
+_TOKEN = _NAME.pattern + r"|\|\||[.()]|(\S)"
 _NEED_TERM, _NEED_TAIL, _AFTER_NAME, _AFTER_GROUP = range(4)
 _EXPECTED = ("expected an action name", "expected an action name or '('")  # by state
-# what a separator between two names does: "." and ".(" hang the next node
-# under the one before, k >= 0 closes k groups and then "||" hangs it beside
-# its sibling, and a separator the grammar rejects at any depth closes more
-# groups than any term opens, so the parse stops there as at an unmatched ")"
-_DOT, _OPEN, _REJECTED = -1, -2, math.inf
 
 
 def parse_process(text: str, allow_forest: bool = False) -> SyntaxTree:
@@ -330,11 +332,11 @@ def parse_process(text: str, allow_forest: bool = False) -> SyntaxTree:
 
     A split on the action names, about _CHUNK characters at a time, gives
     the labels and the separator text between each two of them.  Each
-    distinct separator is classified once per call (_SeparatorCodes), and
-    one step per action then writes the node's parent, touching the stack
-    of open groups only at '.(' and '||'.  A rejection is worded by the
-    same walk over the separators' tokens (_walk), under the priorities
-    above.
+    distinct separator is classified once per call by one regular
+    expression (_SeparatorCodes), and one step per action then writes the
+    node's parent, touching the stack of open groups only at '.(' and
+    '||'.  A rejected term is worded by _parse_error, one pass of the
+    grammar's states over the whole text, under the priorities above.
     """
     # Each chunk is cut just before a name, and its separator strings are
     # dropped before the next chunk is split, whose strings then fill the
@@ -362,11 +364,8 @@ def parse_process(text: str, allow_forest: bool = False) -> SyntaxTree:
     codes += map(code_of, islice(seps, 1, len(seps) - 1))
     last = seps[-1]
     del seps, code_of
-    n = len(labels)
-    if not n and _SEPARATOR_TOKENS.search(text) is None:
-        raise ParseError("empty input", 0)
-    if _walk(first, _NEED_TERM, 0, labels[0] if n else None)[2]:
-        raise _parse_error(text, allow_forest, 0, 0)
+    if not labels or first.strip():
+        raise _parse_error(text, allow_forest)
 
     parents = [0]
     append = parents.append
@@ -383,7 +382,7 @@ def parse_process(text: str, allow_forest: bool = False) -> SyntaxTree:
             top = v
         elif code:
             if code > len(outer):   # an unmatched ')', or _REJECTED
-                raise _parse_error(text, allow_forest, v, len(outer))
+                raise _parse_error(text, allow_forest)
             if code > 1:
                 del outer[1 - code:]
             top = pop()
@@ -391,8 +390,9 @@ def parse_process(text: str, allow_forest: bool = False) -> SyntaxTree:
         else:
             append(top)
     del codes
-    if _walk(last, _AFTER_NAME, len(outer), None)[2]:
-        raise _parse_error(text, allow_forest, n, len(outer))
+    # the end of input may only close the groups still open
+    if last.count(")") != len(outer) or last.replace(")", "").strip():
+        raise _parse_error(text, allow_forest)
     if parents.count(0) > 1:        # a '||' at top level
         if not allow_forest:
             raise _parse_error(text, allow_forest)
@@ -406,89 +406,61 @@ class _SeparatorCodes(dict):
     separator between two names, worked out the first time it is asked for."""
 
     def __missing__(self, sep: str):
-        room = len(sep)             # more open groups than sep has ')'
-        # "" stands for the name that follows: only a fault's wording names it
-        state, depth, fault = _walk(sep, _AFTER_NAME, room, "")
-        code = (_REJECTED if fault else _DOT if state == _NEED_TAIL
-                else _OPEN if depth > room else room - depth)
+        m = _SEPARATOR.fullmatch(sep)
+        code = (_REJECTED if m is None else _OPEN if m[1] else _DOT if m[2] is None
+                else m[2].count(")"))
         self[sep] = code
         return code
 
 
-def _walk(sep: str, state: int, depth: int,
-          following: str | None) -> tuple[int, int, tuple[int, str] | None]:
-    """The grammar's transitions over one separator's tokens.
+def _parse_error(text: str, allow_forest: bool) -> ParseError:
+    """The error to report for a text parse_process rejects.
 
-    state is the state before them and depth the number of open groups;
-    following is the name after the separator, or None at the end of input.
-    Returns the state and depth after the tokens, and the first fault as
-    (offset in sep, message), or None.
+    One pass of the grammar's states over the text's tokens finds the
+    first character that starts no token, the first '||' outside every
+    parenthesis (a ')' too many opens none) and the first grammar fault;
+    they are reported in that order, the '||' only outside forest mode.
     """
-    for m in _SEPARATOR_TOKENS.finditer(sep):
+    if not text.strip():
+        return ParseError("empty input", 0)
+    state = _NEED_TERM
+    depth = level = 0               # groups the grammar has open; '(' less ')', at least 0
+    top_bar = fault = None
+    for m in re.finditer(_TOKEN, text):
         tok = m.group()
+        if m[2]:
+            return ParseError("single '|' is not an operator, expected '||'" if tok == "|"
+                              else f"unexpected character {tok!r}", m.start())
+        if tok == "(":
+            level += 1
+        elif tok == ")":
+            level = max(0, level - 1)
+        elif tok == "||" and not level and top_bar is None:
+            top_bar = m.start()
+        if fault is not None:
+            continue
         if state >= _AFTER_NAME:
             if tok == ")" and depth:
                 depth -= 1
                 state = _AFTER_GROUP
-                continue
-            if tok == "||":
+            elif tok == "||":
                 state = _NEED_TERM
-                continue
-            if tok == "." and state == _AFTER_NAME:
+            elif tok == "." and state == _AFTER_NAME:
                 state = _NEED_TAIL
-                continue
-            message = ("unmatched ')'" if tok == ")"
-                       else "'.' cannot follow a closed parallel group" if tok == "."
-                       else f"unexpected {tok!r}")
+            else:
+                fault = ParseError("unmatched ')'" if tok == ")"
+                                   else "'.' cannot follow a closed parallel group" if tok == "."
+                                   else f"unexpected {tok!r}", m.start())
+        elif m[1]:
+            state = _AFTER_NAME
         elif tok == "(" and state == _NEED_TAIL:
             depth += 1
             state = _NEED_TERM
-            continue
         else:
-            message = _EXPECTED[state]
-        return state, depth, (m.start(), message)
-    # the following name, or the end of input
-    if following is not None:
-        message = f"unexpected {following!r}" if state >= _AFTER_NAME else None
-    else:
-        message = _EXPECTED[state] if state < _AFTER_NAME else "unclosed '('" if depth else None
-    return state, depth, message and (len(sep), message)
-
-
-def _parse_error(text: str, allow_forest: bool, j: int | None = None, depth: int = 0) -> ParseError:
-    """The error to report for text, whose separator number j (0 before the
-    first name) breaks the grammar with depth groups open before it; j is
-    None when only a top-level '||' outside forest mode does.
-
-    Character positions are worked out only here.  A character that starts
-    no token and a top-level '||' outside forest mode outrank the grammar's
-    fault, wherever they occur.
-    """
-    parts = _NAME.split(text)
-    fault = None
-    top_bar = None
-    level = 0
-    start = 0
-    for k, (sep, following) in enumerate(zip(parts[::2], parts[1::2] + [None])):
-        if k == j:
-            offset, message = _walk(sep, _AFTER_NAME if k else _NEED_TERM, depth, following)[2]
-            fault = ParseError(message, start + offset)
-        for m in _SEPARATOR_TOKENS.finditer(sep):
-            tok = m.group()
-            if tok not in _OPERATORS:
-                if tok == "|":
-                    return ParseError("single '|' is not an operator, expected '||'", start + m.start())
-                return ParseError(f"unexpected character {tok!r}", start + m.start())
-            if tok == "(":
-                level += 1
-            elif tok == ")":
-                level = max(0, level - 1)
-            elif tok == "||" and not level and top_bar is None:
-                top_bar = start + m.start()
-        start += len(sep) + len(following or "")
+            fault = ParseError(_EXPECTED[state], m.start())
     if top_bar is not None and not allow_forest:
         return ParseError("parallel composition at top level needs forest mode", top_bar)
-    return fault
+    return fault or ParseError("unclosed '('" if state >= _AFTER_NAME else _EXPECTED[state], len(text))
 
 
 # -- encodings --------------------------------------------------------------

@@ -49,9 +49,39 @@ def test_parse_error_positions():
     with pytest.raises(trees.ParseError) as e:
         trees.parse_process("a | b")
     assert e.value.position == 2
+
+
+_FOREST = "parallel composition at top level needs forest mode"
+
+
+@pytest.mark.parametrize("text,allow_forest,message,position", [
+    ("", False, "empty input", 0),
+    (" \t", True, "empty input", 0),
+    ("a.( || b)", False, "expected an action name", 4),
+    ("a.(b || ", False, "expected an action name", 8),
+    ("a..b", False, "expected an action name or '('", 2),
+    ("a.", False, "expected an action name or '('", 2),
+    ("a b", False, "unexpected 'b'", 2),
+    ("a (b)", False, "unexpected '('", 2),
+    ("a.(b || c).d", False, "'.' cannot follow a closed parallel group", 10),
+    ("a.b)", False, "unmatched ')'", 3),
+    ("a.(b || c", False, "unclosed '('", 9),
+    ("a | b", False, "single '|' is not an operator, expected '||'", 2),
+    ("a.\u00e9", False, "unexpected character '\u00e9'", 2),
+    ("a || b", False, _FOREST, 2),
+    # a character that starts no token outranks an earlier grammar fault
+    ("a b $", False, "unexpected character '$'", 4),
+    ("a b $", True, "unexpected character '$'", 4),
+    # a top-level '||' outranks an earlier grammar fault outside forest mode
+    ("a) || b", False, _FOREST, 3),
+    ("a) || b", True, "unmatched ')'", 1),
+    ("|| a", False, _FOREST, 0),
+    ("|| a", True, "expected an action name", 0),
+])
+def test_parse_error_table(text, allow_forest, message, position):
     with pytest.raises(trees.ParseError) as e:
-        trees.parse_process("a || b")
-    assert "forest" in str(e.value)
+        trees.parse_process(text, allow_forest)
+    assert (str(e.value), e.value.position) == (f"{message} (at position {position})", position)
 
 
 def test_trees_imports_no_module_of_the_package():
@@ -235,6 +265,19 @@ def test_parser_matches_reference_on_rendered_terms(text, allow_forest):
 @given(mutated_terms())
 @settings(max_examples=400, deadline=None)
 def test_parser_matches_reference_on_mutated_terms(text):
+    for allow_forest in (False, True):
+        assert _parse_outcome(text, allow_forest) == _reference_outcome(text, allow_forest)
+
+
+# names, every operator, a single '|', characters that start no token, and
+# whitespace: joined with no grammar in mind, so most texts carry several
+# faults and reach the priorities between them
+_PIECES = ["a", "b", "x1", "_", ".", "(", ")", "||", "|", "$", "\u00e9", " ", "\t", "\u2003"]
+
+
+@given(st.lists(st.sampled_from(_PIECES), max_size=14).map("".join))
+@settings(max_examples=400, deadline=None)
+def test_parser_matches_reference_on_joined_tokens(text):
     for allow_forest in (False, True):
         assert _parse_outcome(text, allow_forest) == _reference_outcome(text, allow_forest)
 
