@@ -96,6 +96,10 @@ COMMANDS = [
     ["count", FOREST, "--forest"],
     ["count", SPACED],
     ["count", "a.b.c.d"],
+    # a count of 4745 digits, past Python's 4300-digit str limit (options
+    # first, so that the two test ids differ)
+    ["count", _term(_random(2000, 17))],
+    ["count", "--format", "json", _term(_random(2000, 17))],
     # parse and usage errors
     ["count", "a.(b || "],
     ["count", "a | b"],

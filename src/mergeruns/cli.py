@@ -1,14 +1,14 @@
 """Command line front end.
 
-One subcommand per task: exact run counting (two formulas through one
-exact kernel, both printed), prefix probabilities, run and shape sampling,
-level profiles, explicit computation trees, the counting sequences, and a
-selftest of two checks (the reference-term anchors and a chi-square test of
-run sampling).  Output is deterministic byte for byte given the same
-arguments and seeds; all diagnostics go to stderr.
+One subcommand per task: exact run counting (the hook formula, checked by
+the run probability method modulo 2^61 - 1), prefix probabilities, run and
+shape sampling, level profiles, explicit computation trees, the counting
+sequences, and a selftest of two checks (the reference-term anchors and a
+chi-square test of run sampling).  Output is deterministic byte for byte
+given the same arguments and seeds; all diagnostics go to stderr.
 
 Exit codes: 0 ok, 1 usage or parse problem, 2 size budget exceeded,
-3 selftest failure.
+3 a self-check failed (selftest, or count's residue check).
 """
 
 from __future__ import annotations
@@ -213,21 +213,34 @@ def _resolve_action(t: trees.SyntaxTree, label_ids: dict, token: str) -> int:
     return ids[0]
 
 
+def _prod_mod(factors, p: int) -> int:
+    """prod(factors) % p, 64 factors to a math.prod at a time."""
+    out = 1
+    for i in range(0, len(factors), 64):
+        out = out * math.prod(factors[i:i + 64]) % p
+    return out
+
+
 def _cmd_count(args) -> int:
     t = _parse_term(args)
     hook = counts.hook_count(t)
-    check = sampling.count_runs_via_probability(t)
-    if hook != check:
-        # both methods are exact; disagreement means a broken build
-        raise RuntimeError(f"count methods disagree: {hook} vs {check}")
+    # the run probability method mod the prime p = 2^61 - 1: 1/rho of the
+    # preorder run is (n - 1)! over the non-root subtree sizes.  Every factor
+    # is at most n < p, so a unit; only the sizes are shared with hook_count
+    sizes, p = t.subtree_sizes(), 2 ** 61 - 1
+    num, den = _prod_mod(range(1, len(sizes)), p), _prod_mod(sizes[1:], p)
+    if hook % p != num * pow(den, -1, p) % p:
+        print("mergeruns: error: the run count failed its residue check "
+              "(run probability method, mod 2^61 - 1)", file=sys.stderr)
+        return 3
     if args.format == "json":
-        # the equal counts are turned into decimal once; this is the line
-        # json.dumps(..., sort_keys=True) writes
+        # the count, checked, is turned into decimal once and printed for
+        # both keys; this is the line json.dumps(..., sort_keys=True) writes
         digits = str(hook)
         print(f'{{"actions": {t.size}, "agree": true, "runs": {digits}, '
               f'"runs_via_probability": {digits}}}')
     else:
-        shown = _fmt_count(hook)  # check == hook
+        shown = _fmt_count(hook)
         print(shown)
         print(f"cross-check (run probability method): {shown}, agree")
     return 0

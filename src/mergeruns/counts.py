@@ -149,9 +149,9 @@ def hook_count(t: SyntaxTree) -> int:
     The quotient is exact: the subtree of every action must finish after
     its root starts, and the hook formula counts the valid interleavings.
     The factors 2..n over the subtree sizes go through the prime-exponent
-    kernel _ratio, so no big integer is divided.  count_runs_via_probability
-    folds another factor list through the same kernel, so the two routes
-    are not independent; the tests hold both to a residue oracle.
+    kernel _ratio, so no big integer is divided.  The count command checks
+    it by the run probability method mod 2^61 - 1, in word-size arithmetic
+    that shares none of this; the tests hold it to a residue oracle.
     """
     sizes = t.subtree_sizes()
     n = len(sizes)

@@ -210,9 +210,9 @@ def count_runs_via_probability(t: SyntaxTree) -> int:
     1/rho is the product of the inverted per-step ratios
     (n - k + 1) / |T(sigma_k)|.  This folds a different factor list from
     hook_count's (n - 1 down to 1 over the sizes of the non-root actions)
-    through the same kernel, counts._ratio, so the two routes share their
-    arithmetic and are not independent checks of each other; the tests
-    hold both to a residue oracle that shares none of it.
+    through the same kernel, counts._ratio, so it is no independent check of
+    hook_count: the count command runs this method mod 2^61 - 1 instead, and
+    the tests hold both routes to a residue oracle that shares no arithmetic.
     """
     sizes = t.subtree_sizes()
     n = t.size

@@ -93,6 +93,34 @@ def test_count_json_past_the_digit_limit(capsys, tmp_path):
         sys.set_int_max_str_digits(limit)
 
 
+RESIDUE_ERROR = ("mergeruns: error: the run count failed its residue check "
+                 "(run probability method, mod 2^61 - 1)\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_count_residue_check_is_independent_of_the_exact_kernel(capsys, monkeypatch, fmt):
+    # a fault in the kernel that both exact routes fold through: they agree
+    # on twice the count, and only the word-size check can catch it
+    def doubled(ratio):
+        def wrapped(num_factors, den_factors, limit):
+            num, den = ratio(num_factors, den_factors, limit)
+            return 2 * num, den
+        return wrapped
+
+    monkeypatch.setattr(counts, "_ratio", doubled(counts._ratio))
+    monkeypatch.setattr(sampling, "_ratio", doubled(sampling._ratio))
+    t = trees.parse_process(TERM)
+    assert counts.hook_count(t) == sampling.count_runs_via_probability(t) == 16
+    assert run(capsys, "count", TERM, "--format", fmt) == (3, "", RESIDUE_ERROR)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_count_residue_check_catches_a_wrong_count(capsys, monkeypatch, fmt):
+    hook_count = counts.hook_count
+    monkeypatch.setattr(counts, "hook_count", lambda t: hook_count(t) + 1)
+    assert run(capsys, "count", TERM, "--format", fmt) == (3, "", RESIDUE_ERROR)
+
+
 @pytest.mark.parametrize("x", [
     10 ** 4400 - 1,                   # rounds up into the next power of ten
     12345675 * 10 ** 4393,            # ties at the seventh significant digit
@@ -857,7 +885,7 @@ RUNS_PROFILES = ["trees", "profiles"]
     (["--version"], []),
     (["seq", "catalan", "--to", "5"], ["counts"]),
     (["seq", "mean_width", "--to", "5"], ["counts"]),
-    (["count", TERM], RUNS_SAMPLING),
+    (["count", TERM], ["trees", "counts"]),
     (["prob", TERM, "--prefix", "a,b,d"], RUNS_SAMPLING),
     (["sample", TERM, "--samples", "3"], RUNS_SAMPLING),
     (["gen", "--size", "9"], RUNS_SAMPLING),
