@@ -32,6 +32,7 @@ STAR = "a.(" + " || ".join(f"x{i}" for i in range(15)) + ")"
 STAR18 = "r.(" + " || ".join(f"x{i}" for i in range(17)) + ")"  # at the cut enumeration cap
 WIDE = "r.(a.b || c || d.e.f || g.(h || i) || j)"
 FOREST = "a.b || c.(d || e) || f"
+STAR8 = "r.(a || b || c || d || e || f || g || h)"  # 109601 semantic nodes
 SPACED = " a\t.\n( b || c.d ) "
 
 
@@ -178,6 +179,9 @@ COMMANDS = [
     ["semantic", WIDE, "--budget", "100"],
     # the exact count 287967 decides, past both lower bounds
     ["semantic", "--budget", "200000", WIDE],
+    # a computation tree of many write chunks in every format (options
+    # first, so that the three test ids differ)
+    *[["semantic", "--format", fmt, STAR8] for fmt in ["dot", "json", "text"]],
     # seq, every name in every format
     *[["seq", name, "--to", "12", "--format", fmt]
       for name in ["catalan", "geomean", "increasing", "m_cuts", "mean_size",

@@ -21,7 +21,6 @@ _EXPORTS = {
         "BudgetError",
         "FOREST_ROOT_LABEL",
         "ParseError",
-        "SemanticTree",
         "SuspendedView",
         "SyntaxTree",
         "degree_sequence_of_tree",
@@ -47,13 +46,14 @@ _EXPORTS = {
         "r_sequence",
     ),
     "profiles": (
-        "build_semantic_tree",
         "count_admissible_cuts",
         "cut_count_sequence",
         "cut_profile",
         "level_profile",
         "limit_profile",
         "limit_profile_error_bound",
+        "semantic_expansion",
+        "semantic_levels",
         "semantic_size",
     ),
     "sampling": (

@@ -355,24 +355,43 @@ def _cmd_profile(args) -> int:
     return 0
 
 
+_JSON_ITEMS = 1 << 14  # list items `semantic` joins into one string at a time
+
+
+def _write_json_items(write, items, show) -> None:
+    """Write show(x) for every x of items, joined by ", ", a chunk at a time."""
+    for i in range(0, len(items), _JSON_ITEMS):
+        if i:
+            write(", ")
+        write(", ".join(map(show, items[i:i + _JSON_ITEMS])))
+
+
 def _cmd_semantic(args) -> int:
     t = _parse_term(args)
     budget = profiles.SEMANTIC_NODE_BUDGET if args.budget is None else args.budget
     if budget < 1:
         raise ValueError("--budget must be at least 1")
-    sem = profiles.build_semantic_tree(t, node_budget=budget)
+    # node counts per level, the last one a leaf per run: text needs no expansion
+    levels = profiles.semantic_levels(t, node_budget=budget)
+    if args.format == "text":
+        print(f"nodes {sum(levels)}")
+        print(f"branches {levels[-1]}")
+        print("levels " + " ".join(map(str, levels)))
+        return 0
+    parents, actions = profiles.semantic_expansion(t)
+    write = sys.stdout.write
     if args.format == "json":
-        print(json.dumps({"nodes": sem.node_count,
-                          "branches": sem.leaf_count(),
-                          "levels": list(sem.level_counts()),
-                          "labels": list(sem.labels),
-                          "parents": list(sem.parents)}, sort_keys=True))
-    elif args.format == "text":
-        print(f"nodes {sem.node_count}")
-        print(f"branches {sem.leaf_count()}")
-        print("levels " + " ".join(map(str, sem.level_counts())))
+        # the text json.dumps(..., sort_keys=True) writes of the document
+        # {"nodes", "branches", "levels", "labels", "parents"}
+        quoted = [""] + [json.dumps(label) for label in t.labels]  # by syntax id
+        write(f'{{"branches": {levels[-1]}, "labels": [')
+        _write_json_items(write, actions, quoted.__getitem__)
+        write(f'], "levels": {json.dumps(list(levels))}, "nodes": {len(parents)}, "parents": [')
+        _write_json_items(write, parents, str)
+        write("]}\n")
     else:
-        print(sem.to_dot())
+        trees._dot("semantic_tree", t.labels, parents, actions, write)
+        write("\n")
     return 0
 
 
@@ -455,10 +474,14 @@ def _check_reference_term():
     assert profiles.semantic_size(t) == 24
     assert profiles.cut_profile(t) == (1, 1, 2, 4, 8, 8)
     assert sampling.prefix_probability(t, (1, 2, 4)) == Fraction(3, 4)
-    sem = profiles.build_semantic_tree(t)
-    assert sem.node_count == 24
-    assert sem.leaf_count() == 8
-    assert sem.level_counts() == (1, 1, 2, 4, 8, 8)
+    # counted off the expansion: a preorder parent comes before its children,
+    # and the distinct parents are the inner nodes and the root's parent 0
+    parents, _ = profiles.semantic_expansion(t)
+    depths = [-1]
+    for p in parents:
+        depths.append(depths[p] + 1)
+    assert (len(parents), len(parents) - len(set(parents)) + 1) == (24, 8)
+    assert tuple(Counter(depths[1:]).values()) == (1, 1, 2, 4, 8, 8)
 
 
 def _check_run_sampling_uniform():

@@ -3,17 +3,19 @@
 A run prefix of length p stops the process with some set of actions done;
 the done set is always a root-containing "cut" closed under parents.  The
 level profile counts prefixes per length, cut_profile recounts them cut by
-cut as its independent check, semantic_size predicts the full
-computation-tree size without building it, and build_semantic_tree expands
-that tree once its size is known to fit the budget.
+cut as its independent check, and semantic_size sums the profile into the
+computation tree's size.  That profile is the tree's node count per level,
+which semantic_levels returns once the tree fits a budget; semantic_expansion
+then lays the tree out as two flat arrays of 16 bytes a node.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from decimal import Decimal
 
-from .trees import BudgetError, SemanticTree, SyntaxTree
+from .trees import BudgetError, SyntaxTree
 
 CUT_ENUMERATION_LIMIT = 18
 PROFILE_FAST_LIMIT = 5000
@@ -233,16 +235,16 @@ def semantic_size(t: SyntaxTree) -> int:
     return sum(level_profile(t))
 
 
-def build_semantic_tree(t: SyntaxTree, node_budget: int = SEMANTIC_NODE_BUDGET) -> SemanticTree:
-    """Explicitly expand the semantic tree of t.
+def semantic_levels(t: SyntaxTree, node_budget: int = SEMANTIC_NODE_BUDGET) -> tuple[int, ...]:
+    """Node count per level of the semantic tree of t (level 0 = its root),
+    which is the level profile, once the tree is known to fit node_budget.
 
-    The root consumes t's root; every node's children consume, left to right,
-    the actions enabled once it is done.  Sizes grow factorially, so the
-    expansion is refused up front when node_budget is under a lower bound:
-    n, a node per level, or 10^k under the run count n! / prod |T(v)|, a leaf
-    per run.  Only then is the exact size summed from the level profile, its
-    entries at most the run count (prefixes of one length extend to disjoint
-    runs), so no level is over about ten times the budget.
+    Sizes grow factorially, so the tree is refused up front when node_budget
+    is under a lower bound: n, a node per level, or 10^k under the run count
+    n! / prod |T(v)|, a leaf per run.  Only then is the exact size summed
+    from the profile, its entries at most the run count (prefixes of one
+    length extend to disjoint runs), so no level is over about ten times
+    the budget.
     """
     n = t.size
     if n > node_budget:
@@ -253,13 +255,26 @@ def build_semantic_tree(t: SyntaxTree, node_budget: int = SEMANTIC_NODE_BUDGET) 
     if Decimal(f"1e{k}") > node_budget:
         raise BudgetError(f"semantic tree has at least 10^{k} branches, over the budget of "
                           f"{node_budget} nodes", Decimal(f"1e{k}"), node_budget)
-    predicted = sum(_prefix_counts(t))
+    levels = _prefix_counts(t)
+    predicted = sum(levels)
     if predicted > node_budget:
         raise BudgetError(
             f"semantic tree has exactly {predicted} nodes, over the budget of {node_budget}",
             predicted, node_budget)
-    parents: list[int] = []
-    source: list[int] = []
+    return tuple(levels)
+
+
+def semantic_expansion(t: SyntaxTree) -> tuple[array, array]:
+    """The semantic tree of t as two arrays, 16 bytes a node: each node's
+    parent (0 for the root) and the syntax node it consumes, by node id - 1.
+
+    Nodes are numbered in preorder.  The root consumes t's root, and every
+    node's children consume, left to right, the actions enabled once it is
+    done, so each branch is one complete run.  The size is not checked
+    here: semantic_levels is the budget check.
+    """
+    kids = [()] + [t.children(v) for v in range(1, t.size + 1)]
+    parents, actions = array("q"), array("q")
     # stack entries: (semantic parent, frontier, index of the node consumed);
     # v's children take v's place, as no other enabled action is in v's subtree
     stack = [(0, (1,), 0)]
@@ -267,12 +282,12 @@ def build_semantic_tree(t: SyntaxTree, node_budget: int = SEMANTIC_NODE_BUDGET) 
         parent_sem, frontier, j = stack.pop()
         v = frontier[j]
         parents.append(parent_sem)
-        source.append(v)
-        sem = len(source)
-        nxt = frontier[:j] + t.children(v) + frontier[j + 1:]
+        actions.append(v)
+        sem = len(actions)
+        nxt = frontier[:j] + kids[v] + frontier[j + 1:]
         for k in range(len(nxt) - 1, -1, -1):
             stack.append((sem, nxt, k))
-    return SemanticTree(map(t.label, source), parents, source)
+    return parents, actions
 
 
 def limit_profile(c: float, n: int) -> float:

@@ -4,8 +4,8 @@ A term like ``a.b.(c || d.(e || f))`` denotes a process whose actions form a
 plane rooted tree: prefixing adds a child, parallel composition adds several.
 Nodes are addressed by preorder id 1..n, which is stable under relabelling and
 is the identity used by every other module.  This module provides the parser,
-the computation-tree type and the degree-sequence encoding; it imports no
-other module of the package.
+the degree-sequence encoding and the Graphviz writer that syntax and
+computation trees share; it imports no other module of the package.
 
 The parser splits a term on its action names, a chunk at a time: the
 labels come from the split, each distinct separator between two names is
@@ -18,10 +18,9 @@ in parse_process.
 from __future__ import annotations
 
 import re
-from collections import Counter
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 FOREST_ROOT_LABEL = "#root"
 
@@ -231,68 +230,28 @@ class SyntaxTree:
         return "".join(out)
 
     def to_dot(self) -> str:
-        return _dot("syntax_tree", self._labels, self._parents)
+        out: list[str] = []
+        _dot("syntax_tree", self._labels, self._parents, range(1, self.size + 1), out.append)
+        return "".join(out)
 
 
-class SemanticTree:
-    """Explicit computation tree: every branch is one complete run.
-
-    Nodes are numbered in preorder and carry the label and preorder id of
-    the syntax-tree action they consume.  Built by
-    profiles.build_semantic_tree; sizes grow like (n-1)! so this is an
-    oracle, not a scalable representation.
-    """
-
-    __slots__ = ("labels", "parents", "source_ids")
-
-    def __init__(self, labels, parents, source_ids):
-        self.labels = tuple(labels)
-        self.parents = tuple(parents)
-        self.source_ids = tuple(source_ids)
-
-    @property
-    def node_count(self) -> int:
-        return len(self.labels)
-
-    def level_counts(self) -> tuple[int, ...]:
-        """Nodes per depth, level 0 = root, in one pass over the parents: a
-        preorder parent comes before its children, so its depth is known and
-        each depth is first counted after the one above it."""
-        depths = [-1]  # depths[0] belongs to the root's parent, 0
-        counts: Counter[int] = Counter()
-        for p in self.parents:
-            depths.append(depths[p] + 1)
-            counts[depths[-1]] += 1
-        return tuple(counts.values())
-
-    def leaf_count(self) -> int:
-        # the distinct parents are the inner nodes and the root's parent 0
-        return self.node_count - len(set(self.parents)) + 1
-
-    def branches(self) -> Iterator[tuple[int, ...]]:
-        """Yield each root-to-leaf branch as the consumed syntax-node ids."""
-        inner = set(self.parents)
-        for leaf in range(1, self.node_count + 1):
-            if leaf in inner:
-                continue
-            path = []
-            v = leaf
-            while v:
-                path.append(self.source_ids[v - 1])
-                v = self.parents[v - 1]
-            yield tuple(reversed(path))
-
-    def to_dot(self) -> str:
-        return _dot("semantic_tree", self.labels, self.parents)
+_DOT_LINES = 1 << 14                # lines of a digraph made into one string at a time
 
 
-def _dot(graph_name: str, labels: Sequence[str], parents: Sequence[int]) -> str:
-    """Graphviz digraph of a parent array (ids 1..n, parent 0 = none)."""
-    lines = [f"digraph {graph_name} {{"]
-    lines += [f'  n{v} [label="{label}"];' for v, label in enumerate(labels, start=1)]
-    lines += [f"  n{p} -> n{v};" for v, p in enumerate(parents, start=1) if p]
-    lines.append("}")
-    return "\n".join(lines)
+def _dot(graph_name: str, names: Sequence[str], parents: Sequence[int],
+         actions: Sequence[int], write) -> None:
+    """Write the Graphviz digraph of a parent array (ids 1..n, parent 0 =
+    none) whose node v is labelled names[actions[v - 1] - 1], _DOT_LINES
+    lines to a call of write.  Every line but the closing "}" ends in a
+    newline."""
+    write(f"digraph {graph_name} {{\n")
+    for i in range(0, len(parents), _DOT_LINES):
+        write("".join([f'  n{v} [label="{names[a - 1]}"];\n'
+                       for v, a in enumerate(actions[i:i + _DOT_LINES], i + 1)]))
+    for i in range(0, len(parents), _DOT_LINES):
+        write("".join([f"  n{p} -> n{v};\n"
+                       for v, p in enumerate(parents[i:i + _DOT_LINES], i + 1) if p]))
+    write("}")
 
 
 # -- parsing ----------------------------------------------------------------

@@ -148,6 +148,43 @@ def semantic_size_via_trie(shape) -> int:
     return sum(profile_via_trie(shape))
 
 
+# -- an expanded semantic tree, counted off its arrays ---------------------------
+# parents[v - 1] is the parent of node v (0 for the root) and actions[v - 1]
+# the syntax node v consumes, nodes numbered in preorder
+
+def level_counts(parents) -> tuple:
+    """Nodes per depth, level 0 = root, in one pass over the parents: a
+    preorder parent comes before its children, so its depth is known and
+    each depth is first counted after the one above it."""
+    depths = [-1]  # depths[0] belongs to the root's parent, 0
+    counts: dict = {}
+    for p in parents:
+        depths.append(depths[p] + 1)
+        counts[depths[-1]] = counts.get(depths[-1], 0) + 1
+    return tuple(counts.values())
+
+
+def leaf_count(parents) -> int:
+    # the distinct parents are the inner nodes and the root's parent 0
+    return len(parents) - len(set(parents)) + 1
+
+
+def branches(parents, actions) -> list:
+    """Each root-to-leaf branch as the consumed syntax-node ids, by leaf."""
+    inner = set(parents)
+    out = []
+    for leaf in range(1, len(parents) + 1):
+        if leaf in inner:
+            continue
+        path = []
+        v = leaf
+        while v:
+            path.append(actions[v - 1])
+            v = parents[v - 1]
+        out.append(tuple(reversed(path)))
+    return out
+
+
 # -- admissible cuts ----------------------------------------------------------
 
 def all_cuts(shape) -> list:

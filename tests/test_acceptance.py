@@ -78,14 +78,14 @@ def test_criterion_02_routes_agree_small():
     c = Criterion(2, "three-routes-per-shape", 120.0)
     for n in range(1, 8):
         for t in conftest.plane_trees(n):
-            sem = profiles.build_semantic_tree(t)
+            parents, _ = profiles.semantic_expansion(t)
             hook = counts.hook_count(t)
-            c.check(sem.leaf_count() == hook, f"leaves != hook at {t.to_term()}")
+            c.check(oracles.leaf_count(parents) == hook, f"leaves != hook at {t.to_term()}")
             rho = sampling.prefix_probability(t, range(1, n + 1))
             c.check(Fraction(1) / rho == hook, f"1/rho != hook at {t.to_term()}")
             fast = profiles.level_profile(t)
             oracle = profiles.cut_profile(t)
-            c.check(sem.level_counts() == fast == oracle,
+            c.check(oracles.level_counts(parents) == fast == oracle,
                     f"profile routes differ at {t.to_term()}")
             if c.failures:
                 break

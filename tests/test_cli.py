@@ -482,6 +482,22 @@ def test_semantic_refuses_a_random_term_by_its_run_count(capsys, tmp_path):
     assert "at least 10^3402 branches, over the budget of 1000000 nodes" in err
 
 
+STAR8 = "r.(a || b || c || d || e || f || g || h)"  # 109601 semantic nodes
+
+
+def test_semantic_text_never_expands(capsys, monkeypatch):
+    # its three lines come from the level profile alone
+    want = run(capsys, "semantic", STAR8, "--format", "text")
+    assert want == (0, "nodes 109601\nbranches 40320\n"
+                       "levels 1 8 56 336 1680 6720 20160 40320 40320\n", "")
+
+    def refuse(t):
+        raise AssertionError("semantic --format text expanded the tree")
+
+    monkeypatch.setattr(profiles, "semantic_expansion", refuse)
+    assert run(capsys, "semantic", STAR8, "--format", "text") == want
+
+
 # -- seq ------------------------------------------------------------------------------
 
 def test_seq_csv_plain(capsys):
@@ -900,16 +916,16 @@ def test_each_command_runs_only_the_modules_it_uses(argv, ran):
 
 
 PUBLIC_NAMES = {
-    "trees": ["BudgetError", "FOREST_ROOT_LABEL", "ParseError", "SemanticTree",
-              "SuspendedView", "SyntaxTree", "degree_sequence_of_tree", "parse_process",
-              "suspended_view", "tree_from_degree_sequence", "validate_run_prefix"],
+    "trees": ["BudgetError", "FOREST_ROOT_LABEL", "ParseError", "SuspendedView",
+              "SyntaxTree", "degree_sequence_of_tree", "parse_process", "suspended_view",
+              "tree_from_degree_sequence", "validate_run_prefix"],
     "counts": ["Approx", "asymptotic_size", "catalan", "cumulative_size",
                "geometric_mean_width", "hook_count", "increasing_count", "log_constant_L",
                "mean_level_width", "mean_size", "mean_width", "mean_width_asymptotic",
                "nonplane_count", "r_sequence"],
-    "profiles": ["build_semantic_tree", "count_admissible_cuts", "cut_count_sequence",
-                 "cut_profile", "level_profile", "limit_profile", "limit_profile_error_bound",
-                 "semantic_size"],
+    "profiles": ["count_admissible_cuts", "cut_count_sequence", "cut_profile",
+                 "level_profile", "limit_profile", "limit_profile_error_bound",
+                 "semantic_expansion", "semantic_levels", "semantic_size"],
     "sampling": ["PartialSumTree", "Rng", "count_runs_via_probability",
                  "prefix_probability", "sample_run", "uniform_random_tree"],
 }
@@ -1016,6 +1032,18 @@ def test_seq_prints_as_it_computes(name, fmt):
     code, peak, printed = _traced_peak(argv)
     assert code == 0
     assert peak < printed / 20, (peak, printed)
+
+
+@pytest.mark.parametrize("fmt, printed", [("json", 1313722), ("dot", 4598636)])
+def test_semantic_writes_in_chunks(fmt, printed):
+    # the 8-leaf star's 109601 nodes take 1.75 MB in the expansion's two
+    # arrays, and its output is written a chunk at a time: the tree held as
+    # Python objects with its output in one string peaked at 10.5 MB (json)
+    # and 24.8 MB (dot)
+    _traced_peak(["semantic", "a.b", "--format", fmt])  # first-call imports and caches
+    code, peak, chars = _traced_peak(["semantic", STAR8, "--format", fmt])
+    assert (code, chars) == (0, printed)
+    assert peak < 5 * 2 ** 20, peak
 
 
 # -- the README ---------------------------------------------------------------------

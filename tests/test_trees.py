@@ -581,28 +581,30 @@ def test_suspended_view_is_immutable_and_keeps_its_repr(ref_tree):
 # -- semantic trees -----------------------------------------------------------
 
 def test_semantic_reference(ref_tree):
-    sem = profiles.build_semantic_tree(ref_tree)
-    assert sem.node_count == 24
-    assert sem.leaf_count() == 8
-    assert sem.level_counts() == (1, 1, 2, 4, 8, 8)
+    parents, actions = profiles.semantic_expansion(ref_tree)
+    assert len(parents) == len(actions) == 24
+    assert oracles.leaf_count(parents) == 8
+    assert oracles.level_counts(parents) == (1, 1, 2, 4, 8, 8)
+    assert profiles.semantic_levels(ref_tree) == (1, 1, 2, 4, 8, 8)
 
 
 def test_semantic_branches_are_runs():
     for n in range(1, 7):
         for shape in oracles.all_shapes(n):
             t = trees.parse_process(oracles.to_term(shape))
-            sem = profiles.build_semantic_tree(t)
-            branches = list(sem.branches())
+            branches = oracles.branches(*profiles.semantic_expansion(t))
             assert len(branches) == len(set(branches))
             assert sorted(branches) == sorted(oracles.all_runs(shape))
 
 
 def test_semantic_levels_are_prefix_counts():
+    # counted off the expansion, and given by the profile without one
     for n in range(1, 7):
         for shape in oracles.all_shapes(n):
             t = trees.parse_process(oracles.to_term(shape))
-            sem = profiles.build_semantic_tree(t)
-            assert sem.level_counts() == oracles.profile_via_trie(shape)
+            parents, _ = profiles.semantic_expansion(t)
+            assert oracles.level_counts(parents) == oracles.profile_via_trie(shape)
+            assert profiles.semantic_levels(t) == oracles.profile_via_trie(shape)
 
 
 def test_semantic_budget():
@@ -610,11 +612,11 @@ def test_semantic_budget():
     # that bound, one past it on the exact count
     t = trees.parse_process(oracles.to_term(((),) * 10, None))
     with pytest.raises(trees.BudgetError) as e:
-        profiles.build_semantic_tree(t, node_budget=100)
+        profiles.semantic_levels(t, node_budget=100)
     assert e.value.predicted == Decimal("1e6")
     assert e.value.budget == 100
     with pytest.raises(trees.BudgetError) as e:
-        profiles.build_semantic_tree(t, node_budget=5 * 10 ** 6)
+        profiles.semantic_levels(t, node_budget=5 * 10 ** 6)
     assert e.value.predicted == 9864101
     assert e.value.budget == 5 * 10 ** 6
 
@@ -627,20 +629,22 @@ def test_semantic_budget_past_the_profile_cap():
     t = trees.parse_process("a." * 5990 + "b.(" + " || ".join("cdefghij") + ")")
     assert t.size == 5999
     with pytest.raises(trees.BudgetError) as e:
-        profiles.build_semantic_tree(t, node_budget=5998)
+        profiles.semantic_levels(t, node_budget=5998)
     assert e.value.predicted == 5999
     assert "at least 5999 nodes, one per level" in str(e.value)
     with pytest.raises(trees.BudgetError) as e:
-        profiles.build_semantic_tree(t, node_budget=9999)
+        profiles.semantic_levels(t, node_budget=9999)
     assert e.value.predicted == 10 ** 4
     assert "at least 10^4 branches" in str(e.value)
     # a budget the bounds do not exceed: the exact count decides,
     # 5991 levels of one node and sum 8!/(8-m)! over m = 1..8 below them
     with pytest.raises(trees.BudgetError) as e:
-        profiles.build_semantic_tree(t, node_budget=10 ** 5)
+        profiles.semantic_levels(t, node_budget=10 ** 5)
     assert e.value.predicted == 115591
-    sem = profiles.build_semantic_tree(t, node_budget=115591)
-    assert sem.node_count == 115591 and sem.leaf_count() == 40320
+    levels = profiles.semantic_levels(t, node_budget=115591)
+    assert sum(levels) == 115591 and levels[-1] == 40320
+    parents, _ = profiles.semantic_expansion(t)
+    assert len(parents) == 115591 and oracles.leaf_count(parents) == 40320
 
 
 def test_semantic_leftmost_branch():
@@ -650,7 +654,8 @@ def test_semantic_leftmost_branch():
         for shape in oracles.all_shapes(n):
             t = trees.parse_process(oracles.to_term(shape))
             kids: dict[int, list[int]] = {}
-            for v, p in enumerate(profiles.build_semantic_tree(t).parents, start=1):
+            parents, _ = profiles.semantic_expansion(t)
+            for v, p in enumerate(parents, start=1):
                 kids.setdefault(p, []).append(v)
             degrees, v = [], 1
             while v in kids:
@@ -661,7 +666,10 @@ def test_semantic_leftmost_branch():
 
 
 def test_semantic_dot_output(ref_tree):
-    dot = profiles.build_semantic_tree(ref_tree).to_dot()
+    parents, actions = profiles.semantic_expansion(ref_tree)
+    out: list[str] = []
+    trees._dot("semantic_tree", ref_tree.labels, parents, actions, out.append)
+    dot = "".join(out)
     assert dot.startswith("digraph") and dot.rstrip().endswith("}")
     assert dot.count("->") == 23
 
