@@ -21,11 +21,9 @@ _EXPORTS = {
         "BudgetError",
         "FOREST_ROOT_LABEL",
         "ParseError",
-        "SuspendedView",
         "SyntaxTree",
         "degree_sequence_of_tree",
         "parse_process",
-        "suspended_view",
         "tree_from_degree_sequence",
         "validate_run_prefix",
     ),

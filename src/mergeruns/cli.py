@@ -25,7 +25,7 @@ from fractions import Fraction
 from . import RNG_ALGORITHM, __version__
 from . import counts, profiles, sampling, trees
 
-SCI_SUFFIX_THRESHOLD = 10 ** 9
+SCI_SUFFIX_DIGITS = 10  # counts from 10^9 up get a scientific suffix
 DEFAULT_SEED = 1
 
 
@@ -84,7 +84,7 @@ def _build_parser() -> _Parser:
         sp.add_argument("--forest", action="store_true",
                         help="allow '||' at top level under a synthetic root")
 
-    sp = sub.add_parser("count", help="number of complete runs, two methods")
+    sp = sub.add_parser("count", help="number of complete runs, checked mod 2^61 - 1")
     term_args(sp)
     sp.add_argument("--format", choices=["text", "json"], default="text")
 
@@ -130,10 +130,13 @@ def _build_parser() -> _Parser:
 
 
 def _fmt_count(x: int) -> str:
-    # int-to-decimal is quadratic in CPython, so it is done once here and
-    # the suffix is read off the digits
-    s = str(x)
-    if x < SCI_SUFFIX_THRESHOLD:
+    return _fmt_digits(str(x))
+
+
+def _fmt_digits(s: str) -> str:
+    # int-to-decimal is quadratic in CPython, so the suffix is read off the
+    # digits the count was turned into once
+    if len(s) < SCI_SUFFIX_DIGITS:
         return s
     return f"{s} (~{Decimal(s):.6e})"
 
@@ -221,26 +224,35 @@ def _prod_mod(factors, p: int) -> int:
     return out
 
 
+def _digits_mod(s: str, p: int) -> int:
+    """int(s) % p for a decimal string s, by Horner's rule over 18-digit
+    chunks; leading zeros make the first chunk whole."""
+    s, out = s.zfill(len(s) + -len(s) % 18), 0
+    for i in range(0, len(s), 18):
+        out = (out * 10 ** 18 + int(s[i:i + 18])) % p
+    return out
+
+
 def _cmd_count(args) -> int:
     t = _parse_term(args)
-    hook = counts.hook_count(t)
+    # the count is turned into decimal once, and the digits printed are the
+    # ones checked
+    digits = str(counts.hook_count(t))
     # the run probability method mod the prime p = 2^61 - 1: 1/rho of the
     # preorder run is (n - 1)! over the non-root subtree sizes.  Every factor
     # is at most n < p, so a unit; only the sizes are shared with hook_count
     sizes, p = t.subtree_sizes(), 2 ** 61 - 1
     num, den = _prod_mod(range(1, len(sizes)), p), _prod_mod(sizes[1:], p)
-    if hook % p != num * pow(den, -1, p) % p:
+    if _digits_mod(digits, p) != num * pow(den, -1, p) % p:
         print("mergeruns: error: the run count failed its residue check "
               "(run probability method, mod 2^61 - 1)", file=sys.stderr)
         return 3
     if args.format == "json":
-        # the count, checked, is turned into decimal once and printed for
-        # both keys; this is the line json.dumps(..., sort_keys=True) writes
-        digits = str(hook)
+        # this is the line json.dumps(..., sort_keys=True) writes
         print(f'{{"actions": {t.size}, "agree": true, "runs": {digits}, '
               f'"runs_via_probability": {digits}}}')
     else:
-        shown = _fmt_count(hook)
+        shown = _fmt_digits(digits)
         print(shown)
         print(f"cross-check (run probability method): {shown}, agree")
     return 0

@@ -18,9 +18,9 @@ in parse_process.
 from __future__ import annotations
 
 import re
-from itertools import islice
+from itertools import chain, count, islice, product
 from json.encoder import encode_basestring_ascii as _json_string
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 FOREST_ROOT_LABEL = "#root"
 
@@ -453,14 +453,8 @@ def tree_from_degree_sequence(u: Sequence[int], labels: Sequence[str] | None = N
 
 def default_labels(n: int) -> list[str]:
     """Spreadsheet-style action names: a..z, aa, ab, ..."""
-    out = []
-    for k in range(1, n + 1):
-        s = ""
-        while k:
-            k, r = divmod(k - 1, 26)
-            s = chr(97 + r) + s
-        out.append(s)
-    return out
+    words = (map("".join, product("abcdefghijklmnopqrstuvwxyz", repeat=k)) for k in count(1))
+    return list(islice(chain.from_iterable(words), max(n, 0)))
 
 
 def validate_run_prefix(t: SyntaxTree, sigma: Sequence[int]) -> tuple[int, ...]:
@@ -482,25 +476,4 @@ def validate_run_prefix(t: SyntaxTree, sigma: Sequence[int]) -> tuple[int, ...]:
             raise ValueError(f"action {v} is not enabled yet (index {k})")
         seen.add(v)
     return sigma
-
-
-class SuspendedView(NamedTuple):
-    """What remains of a tree after consuming a run prefix."""
-
-    source: SyntaxTree
-    prefix: tuple[int, ...]
-    frontier: tuple[int, ...]
-
-    @property
-    def root(self) -> int:
-        """The last consumed action, the root of the suspended tree."""
-        return self.prefix[-1]
-
-
-def suspended_view(t: SyntaxTree, sigma: Sequence[int]) -> SuspendedView:
-    """Enabled actions after consuming sigma, in prefix-traversal order of t."""
-    sigma = validate_run_prefix(t, sigma)
-    consumed = set(sigma)
-    frontier = sorted(c for v in sigma for c in t.children(v) if c not in consumed)
-    return SuspendedView(t, sigma, tuple(frontier))
 

@@ -112,6 +112,7 @@ def test_reference_structure(ref_tree):
     assert t.children(2) == (3, 4)
     assert t.degree_word() == (1, 2, 0, 2, 0, 0)
     assert t.subtree_sizes() == (6, 5, 1, 3, 1, 1)
+    assert repr(t) == "SyntaxTree('a.b.(c || d.(e || f))')"
 
 
 # -- the constructor's preorder check -------------------------------------------
@@ -542,9 +543,15 @@ def test_default_labels():
     assert labels[25] == "z"
     assert labels[26] == "aa"
     assert labels[27] == "ab"
+    # 26 one-letter and 26^2 two-letter names come before the first three-letter one
+    labels = trees.default_labels(703)
+    assert labels == [oracles.spreadsheet_label(i) for i in range(703)]
+    assert labels[:30] == trees.default_labels(30)
+    assert labels[-2:] == ["zz", "aaa"]
+    assert trees.default_labels(0) == trees.default_labels(-1) == []
 
 
-# -- run prefixes and suspension ----------------------------------------------
+# -- run prefixes -------------------------------------------------------------
 
 def test_validate_run_prefix(ref_tree):
     assert trees.validate_run_prefix(ref_tree, [1, 2, 4]) == (1, 2, 4)
@@ -561,21 +568,6 @@ def test_validate_run_prefix(ref_tree):
         assert idx_hint in str(e.value)
     with pytest.raises(ValueError, match=r"^prefix longer than the tree \(index 3\)$"):
         trees.validate_run_prefix(trees.parse_process("a.b"), [1, 2, 2])
-
-
-def test_suspended_view(ref_tree):
-    view = trees.suspended_view(ref_tree, [1, 2, 4])
-    assert view.frontier == (3, 5, 6)
-    assert [ref_tree.label(v) for v in view.frontier] == ["c", "e", "f"]
-    assert view.root == 4
-
-
-def test_suspended_view_is_immutable_and_keeps_its_repr(ref_tree):
-    view = trees.suspended_view(ref_tree, [1, 2])
-    with pytest.raises(AttributeError):
-        view.frontier = ()
-    assert repr(view) == ("SuspendedView(source=SyntaxTree('a.b.(c || d.(e || f))'), "
-                          "prefix=(1, 2), frontier=(3, 4))")
 
 
 # -- semantic trees -----------------------------------------------------------
