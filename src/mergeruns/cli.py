@@ -129,10 +129,6 @@ def _build_parser() -> _Parser:
     return p
 
 
-def _fmt_count(x: int) -> str:
-    return _fmt_digits(str(x))
-
-
 def _fmt_digits(s: str) -> str:
     # int-to-decimal is quadratic in CPython, so the suffix is read off the
     # digits the count was turned into once
@@ -359,7 +355,7 @@ def _cmd_profile(args) -> int:
                           "log10": [round(math.log10(c), 6) for c in prof]}))
     elif args.format == "text":
         for level, c in enumerate(prof):
-            print(f"{level} {_fmt_count(c)}")
+            print(f"{level} {_fmt_digits(str(c))}")
     else:
         print("level,count")
         for level, c in enumerate(prof):

@@ -81,23 +81,21 @@ def increasing_count(n: int) -> int:
     return math.factorial(2 * n - 2) // (2 ** (n - 1) * math.factorial(n - 1))
 
 
-def _ratio(num_factors: Iterable[int], den_factors: Iterable[int],
+def _ratio(factors: Iterable[int], top: int, bottom: int,
            limit: int) -> tuple[int, int]:
-    """prod(num_factors) / prod(den_factors) in lowest terms, as (num, den).
+    """(top! / bottom!) / prod(factors) in lowest terms, as (num, den).
 
-    Every factor is an integer in 1..limit; a factor of 1 is tallied and
-    never read.  Legendre's prime-exponent ledger (Borwein 1985): tally the
-    net multiplicity of every factor value, read each prime's net exponent
-    off the tally as the sum over k of the multiplicities at the multiples
-    of p^k, and build each side as a product of prime powers.  A prime lands
-    on one side only, so the pair is coprime without a gcd, and no big
-    integer is ever divided.
+    Every factor is in 1..limit and 0 <= bottom <= top <= limit.  Legendre's
+    prime-exponent ledger (Borwein 1985): tally the factors once, read each
+    prime's net exponent as the sum over k of floor(top / p^k) -
+    floor(bottom / p^k) less the tally at the multiples of p^k, and build
+    each side as a product of prime powers.  A prime lands on one side
+    only, so the pair is coprime without a gcd, and no big integer is ever
+    divided.
     """
-    net = [0] * (limit + 1)
-    for f in num_factors:
-        net[f] += 1
-    for f in den_factors:
-        net[f] -= 1
+    tally = [0] * (limit + 1)
+    for f in factors:
+        tally[f] += 1
     sieve = bytearray([1]) * (limit + 1)
     sieve[:2] = b"\0\0"
     for p in range(2, math.isqrt(limit) + 1):
@@ -108,7 +106,7 @@ def _ratio(num_factors: Iterable[int], den_factors: Iterable[int],
     for p in primes:
         e, q = 0, p
         while q <= limit:
-            e += sum(net[q::q])
+            e += top // q - bottom // q - sum(tally[q::q])
             q *= p
         exponents.append(e)
     num = _prime_power_product(primes, exponents)
@@ -144,18 +142,18 @@ def _prime_power_product(primes: list[int], exponents: list[int]) -> int:
 
 
 def hook_count(t: SyntaxTree) -> int:
-    """Number of complete runs of t: n! divided by the product of subtree sizes.
+    """Number of complete runs of t: n! / prod |T(v)| over the subtree sizes.
 
     The quotient is exact: the subtree of every action must finish after
     its root starts, and the hook formula counts the valid interleavings.
-    The factors 2..n over the subtree sizes go through the prime-exponent
-    kernel _ratio, so no big integer is divided.  The count command checks
-    it by the run probability method mod 2^61 - 1, in word-size arithmetic
-    that shares none of this; the tests hold it to a residue oracle.
+    It goes through the prime-exponent kernel as _ratio(sizes, n, 0, n),
+    so no big integer is divided.  The count command checks it by the run
+    probability method mod 2^61 - 1, in word-size arithmetic that shares
+    none of this; the tests hold it to a residue oracle.
     """
     sizes = t.subtree_sizes()
     n = len(sizes)
-    num, den = _ratio(range(2, n + 1), sizes, n)
+    num, den = _ratio(sizes, n, 0, n)
     assert den == 1
     return num
 

@@ -192,14 +192,14 @@ def prefix_probability(t: SyntaxTree, sigma: Sequence[int]) -> Fraction:
     Exact: the k-th consumed action is chosen among the enabled ones with
     probability (its subtree size) / (actions still pending), and the
     pending count at step k is always n - k + 1 regardless of history.
-    The step sizes over the pending counts n - p + 1 .. n - 1 go through
-    the prime-exponent kernel counts._ratio, which returns the quotient in
-    lowest terms, so no gcd is taken.
+    The pending counts of steps 2..p make (n - 1)! / (n - p)!, so the
+    probability inverts _ratio(step sizes, n - 1, n - p, n), which the
+    prime-exponent kernel counts._ratio returns in lowest terms with no gcd.
     """
     sigma = validate_run_prefix(t, sigma)
     sizes = t.subtree_sizes()
     n, p = t.size, len(sigma)
-    num, den = _ratio([sizes[v - 1] for v in sigma[1:]], range(n - p + 1, n), n)
+    den, num = _ratio([sizes[v - 1] for v in sigma[1:]], n - 1, n - p, n)
     return _coprime_fraction(num, den)
 
 
@@ -208,16 +208,17 @@ def count_runs_via_probability(t: SyntaxTree) -> int:
 
     Uses the prefix-traversal run (ids ascending), which every tree has:
     1/rho is the product of the inverted per-step ratios
-    (n - k + 1) / |T(sigma_k)|.  This folds a different factor list from
-    hook_count's (n - 1 down to 1 over the sizes of the non-root actions)
-    through the same kernel, counts._ratio, so it is no independent check of
-    hook_count: the count command runs this method mod 2^61 - 1 instead, and
-    the tests hold both routes to a residue oracle that shares no arithmetic.
+    (n - k + 1) / |T(sigma_k)| over steps k = 2..n (step 1's n / n is 1),
+    that is (n - 1)! / prod |T(v)| over the non-root actions, taken as
+    _ratio(sizes[1:], n - 1, 0, n).  This is hook_count's quotient with the
+    root's factor n cancelled, through the same kernel, so it is no
+    independent check of hook_count: the independent check of the count is
+    the count command's residue mod 2^61 - 1, and the tests hold both
+    routes to a residue oracle that shares no arithmetic.
     """
     sizes = t.subtree_sizes()
     n = t.size
-    # steps k = 2..n of the product, inverted; step 1's n/n contributes nothing
-    q, den = _ratio(range(n - 1, 0, -1), sizes[1:], n)
+    q, den = _ratio(sizes[1:], n - 1, 0, n)
     assert den == 1
     return q
 

@@ -170,8 +170,8 @@ class SyntaxTree:
         if self._sizes is None:
             n = self.size
             sizes = [1] * (n + 1)
-            for v in range(n, 1, -1):
-                sizes[self._parents[v - 1]] += sizes[v]
+            for v, p in zip(range(n, 1, -1), reversed(self._parents)):
+                sizes[p] += sizes[v]
             self._sizes = tuple(sizes[1:])
         return self._sizes
 

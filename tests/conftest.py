@@ -36,15 +36,15 @@ def ref_shape():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """(numerator factors, denominator factors) of every exact-kernel call
-    made from sampling, in call order."""
+    """The factor list of every exact-kernel call made from sampling, in
+    call order."""
     calls = []
     real = sampling._ratio
 
-    def spy(num_factors, den_factors, limit):
-        num_factors, den_factors = list(num_factors), list(den_factors)
-        calls.append((num_factors, den_factors))
-        return real(num_factors, den_factors, limit)
+    def spy(factors, top, bottom, limit):
+        factors = list(factors)
+        calls.append(factors)
+        return real(factors, top, bottom, limit)
 
     monkeypatch.setattr(sampling, "_ratio", spy)
     return calls

@@ -102,8 +102,8 @@ def test_count_residue_check_is_independent_of_the_exact_kernel(capsys, monkeypa
     # a fault in the kernel that both exact routes fold through: they agree
     # on twice the count, and only the word-size check can catch it
     def doubled(ratio):
-        def wrapped(num_factors, den_factors, limit):
-            num, den = ratio(num_factors, den_factors, limit)
+        def wrapped(factors, top, bottom, limit):
+            num, den = ratio(factors, top, bottom, limit)
             return 2 * num, den
         return wrapped
 
@@ -158,7 +158,7 @@ def test_count_format_past_the_digit_limit(x):
     sys.set_int_max_str_digits(0)  # as run_cli does for a command
     try:
         assert len(str(x)) > 4300
-        assert cli._fmt_count(x) == f"{x} (~{Decimal(x):.6e})"
+        assert cli._fmt_digits(str(x)) == f"{x} (~{Decimal(x):.6e})"
     finally:
         sys.set_int_max_str_digits(limit)
 

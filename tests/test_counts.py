@@ -54,8 +54,8 @@ def test_hook_count_extremes():
 
 # -- the prime-exponent kernel --------------------------------------------------
 
-def _ratio_reference(num, den):
-    q = Fraction(math.prod(num), math.prod(den))
+def _ratio_reference(factors, top, bottom):
+    q = Fraction(math.factorial(top), math.factorial(bottom) * math.prod(factors))
     return q.numerator, q.denominator
 
 
@@ -63,38 +63,52 @@ def test_ratio_random_multisets():
     rnd = random.Random(11)
     for _ in range(500):
         limit = rnd.choice([2, 3, 10, 64, 97, 1000])
-        num = [rnd.randint(1, limit) for _ in range(rnd.randint(0, 30))]
-        den = [rnd.randint(1, limit) for _ in range(rnd.randint(0, 30))]
-        assert counts._ratio(num, den, limit) == _ratio_reference(num, den), (num, den)
+        top = rnd.randint(0, limit)
+        bottom = rnd.randint(0, top)
+        factors = [rnd.randint(1, limit) for _ in range(rnd.randint(0, 30))]
+        assert counts._ratio(factors, top, bottom, limit) == \
+            _ratio_reference(factors, top, bottom), (factors, top, bottom)
 
 
 def test_ratio_edge_multisets():
     cases = [
-        ([], [], 1),
-        ([], [], 50),
-        ([1] * 7, [1] * 3, 1),
-        ([97], [], 97),            # a lone prime at the limit
-        ([], [97], 97),
-        ([81], [3], 81),           # p^k equal to the limit
-        ([2], [64], 64),           # the power of two goes through the shift
-        ([125, 2], [5, 4], 125),
-        ([6, 10, 15], [30, 30], 30),   # cancels to (1, 1)
-        ([2] * 40, [4] * 20, 4),
-        ([2], [], 2),              # sqrt(limit) and limit/2 below 2
-        ([3], [2], 3),
-        ([4, 3], [2], 4),
-        ([7, 14], [49], 49),       # p^2 equal to the limit
-        ([49], [7], 49),
-        ([7, 14, 42], [3], 48),    # 7 just above sqrt(48)
-        ([13, 26], [2], 26),       # p exactly limit/2
-        ([26], [13, 13], 26),
-        ([13], [], 25),            # p just above limit/2
-        ([4, 3, 2, 1], [1, 1, 2, 3], 4),   # 1s on both sides
+        ([], 0, 0, 1),
+        ([], 1, 0, 50),
+        ([1] * 7, 1, 1, 1),
+        ([97], 0, 0, 97),          # a lone prime at the limit
+        ([], 97, 96, 97),
+        ([81], 3, 0, 81),          # p^k equal to the limit
+        ([3], 81, 80, 81),
+        ([64], 2, 1, 64),          # the power of two goes through the shift
+        ([], 64, 0, 64),
+        ([125, 2], 5, 3, 125),
+        ([5, 6], 6, 4, 6),         # cancels to (1, 1)
+        ([2] * 40, 4, 0, 4),
+        ([2], 0, 0, 2),            # sqrt(limit) and limit/2 below 2
+        ([], 2, 0, 2),
+        ([2], 3, 0, 3),
+        ([4, 3], 2, 0, 4),
+        ([7, 14], 49, 47, 49),     # p^2 equal to the limit
+        ([49], 7, 6, 49),
+        ([7, 14, 42], 48, 45, 48),   # 7 just above sqrt(48)
+        ([13, 26], 26, 24, 26),    # p exactly limit/2
+        ([26], 13, 12, 26),
+        ([], 26, 0, 26),
+        ([13], 25, 0, 25),         # p just above limit/2
+        ([], 25, 12, 25),
+        ([4, 3, 2, 1, 1, 1], 4, 2, 4),   # 1s among the factors
+        ([], 10, 10, 10),          # bottom = top
+        ([6, 7], 9, 9, 10),
+        ([], 10, 0, 10),           # bottom = 0
+        ([3, 5, 10], 10, 0, 10),
     ]
-    for num, den, limit in cases:
-        assert counts._ratio(num, den, limit) == _ratio_reference(num, den), (num, den)
-    assert counts._ratio([6, 10, 15], [30, 30], 30) == (1, 1)
-    assert counts._ratio([97], [], 200) == (97, 1)  # a limit above the factors
+    for factors, top, bottom, limit in cases:
+        assert counts._ratio(factors, top, bottom, limit) == \
+            _ratio_reference(factors, top, bottom), (factors, top, bottom)
+    assert counts._ratio([5, 6], 6, 4, 6) == (1, 1)
+    assert counts._ratio([], 10, 10, 10) == (1, 1)
+    assert counts._ratio([], 5, 0, 5) == (120, 1)
+    assert counts._ratio([], 97, 96, 200) == (97, 1)  # a limit above top
 
 
 def test_hook_count_matches_residue_oracle():
