@@ -558,10 +558,7 @@ def run_cli(argv) -> int:
     except trees.BudgetError as exc:
         print(f"mergeruns: budget exceeded: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"mergeruns: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:  # ParseError among them
+    except (OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"mergeruns: error: {exc}", file=sys.stderr)
         return 1
     finally:

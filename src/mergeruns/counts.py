@@ -14,7 +14,7 @@ import math
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from itertools import compress
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:  # annotations only: running counts does not run trees
     from .trees import SyntaxTree
@@ -81,18 +81,18 @@ def increasing_count(n: int) -> int:
     return math.factorial(2 * n - 2) // (2 ** (n - 1) * math.factorial(n - 1))
 
 
-def _ratio(factors: Iterable[int], top: int, bottom: int,
-           limit: int) -> tuple[int, int]:
+def _ratio(factors: Sequence[int], top: int, bottom: int) -> tuple[int, int]:
     """(top! / bottom!) / prod(factors) in lowest terms, as (num, den).
 
-    Every factor is in 1..limit and 0 <= bottom <= top <= limit.  Legendre's
-    prime-exponent ledger (Borwein 1985): tally the factors once, read each
-    prime's net exponent as the sum over k of floor(top / p^k) -
-    floor(bottom / p^k) less the tally at the multiples of p^k, and build
-    each side as a product of prime powers.  A prime lands on one side
-    only, so the pair is coprime without a gcd, and no big integer is ever
-    divided.
+    Every factor is at least 1 and 0 <= bottom <= top; the primes run up to
+    the largest of top and the factors.  Legendre's prime-exponent ledger
+    (Borwein 1985): tally the factors once, read each prime's net exponent
+    as the sum over k of floor(top / p^k) - floor(bottom / p^k) less the
+    tally at the multiples of p^k, and build each side as a product of
+    prime powers.  A prime lands on one side only, so the pair is coprime
+    without a gcd, and no big integer is ever divided.
     """
+    limit = max(top, max(factors, default=0))
     tally = [0] * (limit + 1)
     for f in factors:
         tally[f] += 1
@@ -146,14 +146,14 @@ def hook_count(t: SyntaxTree) -> int:
 
     The quotient is exact: the subtree of every action must finish after
     its root starts, and the hook formula counts the valid interleavings.
-    It goes through the prime-exponent kernel as _ratio(sizes, n, 0, n),
+    It goes through the prime-exponent kernel as _ratio(sizes, n, 0),
     so no big integer is divided.  The count command checks it by the run
     probability method mod 2^61 - 1, in word-size arithmetic that shares
     none of this; the tests hold it to a residue oracle.
     """
     sizes = t.subtree_sizes()
     n = len(sizes)
-    num, den = _ratio(sizes, n, 0, n)
+    num, den = _ratio(sizes, n, 0)
     assert den == 1
     return num
 

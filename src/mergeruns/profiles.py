@@ -15,14 +15,14 @@ import math
 from array import array
 from decimal import Decimal
 
-from .trees import BudgetError, SyntaxTree
+from . import trees
 
 CUT_ENUMERATION_LIMIT = 18
 PROFILE_FAST_LIMIT = 5000
 SEMANTIC_NODE_BUDGET = 10 ** 6
 
 
-def count_admissible_cuts(t: SyntaxTree) -> int:
+def count_admissible_cuts(t: trees.SyntaxTree) -> int:
     """Number of admissible cuts, the empty one included.
 
     count(v) = 1 + prod over children of count(c); reverse id order visits
@@ -35,7 +35,7 @@ def count_admissible_cuts(t: SyntaxTree) -> int:
     return 1 + acc[1]
 
 
-def cut_profile(t: SyntaxTree) -> tuple[int, ...]:
+def cut_profile(t: trees.SyntaxTree) -> tuple[int, ...]:
     """The level profile by brute force over the admissible cuts.
 
     The prefixes that consume exactly a cut of k nodes are its labellings,
@@ -46,8 +46,8 @@ def cut_profile(t: SyntaxTree) -> tuple[int, ...]:
     """
     n = t.size
     if n > CUT_ENUMERATION_LIMIT:
-        raise BudgetError(f"a {n}-node term is over the cut enumeration cap of "
-                          f"{CUT_ENUMERATION_LIMIT} nodes", n, CUT_ENUMERATION_LIMIT)
+        raise trees.BudgetError(f"a {n}-node term is over the cut enumeration cap of "
+                                f"{CUT_ENUMERATION_LIMIT} nodes", n, CUT_ENUMERATION_LIMIT)
     # cuts[v] holds, per cut of v's subtree containing v, its node count k
     # and the product q of the induced subtree sizes of its members below v;
     # reverse id order completes a child's list before crossing it into its
@@ -94,7 +94,7 @@ def cut_count_sequence(N: int) -> list[int]:
     return seq
 
 
-def level_profile(t: SyntaxTree) -> tuple[int, ...]:
+def level_profile(t: trees.SyntaxTree) -> tuple[int, ...]:
     """Number of run prefixes of each length; entry at depth l counts l + 1.
 
     Indexing: depth 0 = the bare root (always count 1); the deepest entry,
@@ -111,12 +111,12 @@ def level_profile(t: SyntaxTree) -> tuple[int, ...]:
     still grows about 8x per doubling.
     """
     if t.size > PROFILE_FAST_LIMIT:
-        raise BudgetError(f"a {t.size}-node term is over the profile cap of "
-                          f"{PROFILE_FAST_LIMIT} nodes", t.size, PROFILE_FAST_LIMIT)
+        raise trees.BudgetError(f"a {t.size}-node term is over the profile cap of "
+                                f"{PROFILE_FAST_LIMIT} nodes", t.size, PROFILE_FAST_LIMIT)
     return tuple(_prefix_counts(t))
 
 
-def _prefix_counts(t: SyntaxTree) -> list[int]:
+def _prefix_counts(t: trees.SyntaxTree) -> list[int]:
     """counts[p] = number of run prefixes of length p + 1.
 
     Bottom-up. For each node, index m of its working vector counts the
@@ -229,13 +229,14 @@ def _prefix_counts(t: SyntaxTree) -> list[int]:
     return acc[-2::-1]
 
 
-def semantic_size(t: SyntaxTree) -> int:
+def semantic_size(t: trees.SyntaxTree) -> int:
     """Exact node count of the computation tree, without building it: the
     sum of the level profile, so terms over PROFILE_FAST_LIMIT are refused."""
     return sum(level_profile(t))
 
 
-def semantic_levels(t: SyntaxTree, node_budget: int = SEMANTIC_NODE_BUDGET) -> tuple[int, ...]:
+def semantic_levels(t: trees.SyntaxTree,
+                    node_budget: int = SEMANTIC_NODE_BUDGET) -> tuple[int, ...]:
     """Node count per level of the semantic tree of t (level 0 = its root),
     which is the level profile, once the tree is known to fit node_budget.
 
@@ -248,23 +249,23 @@ def semantic_levels(t: SyntaxTree, node_budget: int = SEMANTIC_NODE_BUDGET) -> t
     """
     n = t.size
     if n > node_budget:
-        raise BudgetError(f"semantic tree has at least {n} nodes, one per level, over the "
-                          f"budget of {node_budget}", n, node_budget)
+        raise trees.BudgetError(f"semantic tree has at least {n} nodes, one per level, over the "
+                                f"budget of {node_budget}", n, node_budget)
     log_runs = math.lgamma(n + 1) - math.fsum(map(math.log, t.subtree_sizes()))
     k = max(0, math.floor(log_runs / math.log(10) - 1e-6))  # 10^k stays under despite rounding
     if Decimal(f"1e{k}") > node_budget:
-        raise BudgetError(f"semantic tree has at least 10^{k} branches, over the budget of "
-                          f"{node_budget} nodes", Decimal(f"1e{k}"), node_budget)
+        raise trees.BudgetError(f"semantic tree has at least 10^{k} branches, over the budget of "
+                                f"{node_budget} nodes", Decimal(f"1e{k}"), node_budget)
     levels = _prefix_counts(t)
     predicted = sum(levels)
     if predicted > node_budget:
-        raise BudgetError(
+        raise trees.BudgetError(
             f"semantic tree has exactly {predicted} nodes, over the budget of {node_budget}",
             predicted, node_budget)
     return tuple(levels)
 
 
-def semantic_expansion(t: SyntaxTree) -> tuple[array, array]:
+def semantic_expansion(t: trees.SyntaxTree) -> tuple[array, array]:
     """The semantic tree of t as two arrays, 16 bytes a node: each node's
     parent (0 for the root) and the syntax node it consumes, by node id - 1.
 

@@ -14,8 +14,7 @@ import random
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import RNG_ALGORITHM
-from .counts import _ratio
+from . import RNG_ALGORITHM, counts
 from .trees import SyntaxTree, validate_run_prefix
 
 # a Fraction from a pair already in lowest terms, skipping the gcd the
@@ -193,13 +192,13 @@ def prefix_probability(t: SyntaxTree, sigma: Sequence[int]) -> Fraction:
     probability (its subtree size) / (actions still pending), and the
     pending count at step k is always n - k + 1 regardless of history.
     The pending counts of steps 2..p make (n - 1)! / (n - p)!, so the
-    probability inverts _ratio(step sizes, n - 1, n - p, n), which the
-    prime-exponent kernel counts._ratio returns in lowest terms with no gcd.
+    probability inverts counts._ratio(step sizes, n - 1, n - p), which the
+    prime-exponent kernel returns in lowest terms with no gcd.
     """
     sigma = validate_run_prefix(t, sigma)
     sizes = t.subtree_sizes()
     n, p = t.size, len(sigma)
-    den, num = _ratio([sizes[v - 1] for v in sigma[1:]], n - 1, n - p, n)
+    den, num = counts._ratio([sizes[v - 1] for v in sigma[1:]], n - 1, n - p)
     return _coprime_fraction(num, den)
 
 
@@ -210,15 +209,15 @@ def count_runs_via_probability(t: SyntaxTree) -> int:
     1/rho is the product of the inverted per-step ratios
     (n - k + 1) / |T(sigma_k)| over steps k = 2..n (step 1's n / n is 1),
     that is (n - 1)! / prod |T(v)| over the non-root actions, taken as
-    _ratio(sizes[1:], n - 1, 0, n).  This is hook_count's quotient with the
-    root's factor n cancelled, through the same kernel, so it is no
+    counts._ratio(sizes[1:], n - 1, 0).  This is hook_count's quotient with
+    the root's factor n cancelled, through the same kernel, so it is no
     independent check of hook_count: the independent check of the count is
     the count command's residue mod 2^61 - 1, and the tests hold both
     routes to a residue oracle that shares no arithmetic.
     """
     sizes = t.subtree_sizes()
     n = t.size
-    q, den = _ratio(sizes[1:], n - 1, 0, n)
+    q, den = counts._ratio(sizes[1:], n - 1, 0)
     assert den == 1
     return q
 

@@ -6,7 +6,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 import oracles
-from mergeruns import sampling, trees
+from mergeruns import counts, trees
 
 REFERENCE_TERM = "a.b.(c || d.(e || f))"
 REFERENCE_SHAPE = (((), ((), ())),)  # nested-tuple form for the oracles
@@ -36,17 +36,15 @@ def ref_shape():
 
 @pytest.fixture
 def kernel_calls(monkeypatch):
-    """The factor list of every exact-kernel call made from sampling, in
-    call order."""
+    """The factor list of every exact-kernel call, in call order."""
     calls = []
-    real = sampling._ratio
+    real = counts._ratio
 
-    def spy(factors, top, bottom, limit):
-        factors = list(factors)
-        calls.append(factors)
-        return real(factors, top, bottom, limit)
+    def spy(factors, top, bottom):
+        calls.append(list(factors))
+        return real(factors, top, bottom)
 
-    monkeypatch.setattr(sampling, "_ratio", spy)
+    monkeypatch.setattr(counts, "_ratio", spy)
     return calls
 
 

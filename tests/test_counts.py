@@ -66,49 +66,49 @@ def test_ratio_random_multisets():
         top = rnd.randint(0, limit)
         bottom = rnd.randint(0, top)
         factors = [rnd.randint(1, limit) for _ in range(rnd.randint(0, 30))]
-        assert counts._ratio(factors, top, bottom, limit) == \
+        assert counts._ratio(factors, top, bottom) == \
             _ratio_reference(factors, top, bottom), (factors, top, bottom)
 
 
 def test_ratio_edge_multisets():
+    # the limit is the largest of top and the factors, up to which the primes run
     cases = [
-        ([], 0, 0, 1),
-        ([], 1, 0, 50),
-        ([1] * 7, 1, 1, 1),
-        ([97], 0, 0, 97),          # a lone prime at the limit
-        ([], 97, 96, 97),
-        ([81], 3, 0, 81),          # p^k equal to the limit
-        ([3], 81, 80, 81),
-        ([64], 2, 1, 64),          # the power of two goes through the shift
-        ([], 64, 0, 64),
-        ([125, 2], 5, 3, 125),
-        ([5, 6], 6, 4, 6),         # cancels to (1, 1)
-        ([2] * 40, 4, 0, 4),
-        ([2], 0, 0, 2),            # sqrt(limit) and limit/2 below 2
-        ([], 2, 0, 2),
-        ([2], 3, 0, 3),
-        ([4, 3], 2, 0, 4),
-        ([7, 14], 49, 47, 49),     # p^2 equal to the limit
-        ([49], 7, 6, 49),
-        ([7, 14, 42], 48, 45, 48),   # 7 just above sqrt(48)
-        ([13, 26], 26, 24, 26),    # p exactly limit/2
-        ([26], 13, 12, 26),
-        ([], 26, 0, 26),
-        ([13], 25, 0, 25),         # p just above limit/2
-        ([], 25, 12, 25),
-        ([4, 3, 2, 1, 1, 1], 4, 2, 4),   # 1s among the factors
-        ([], 10, 10, 10),          # bottom = top
-        ([6, 7], 9, 9, 10),
-        ([], 10, 0, 10),           # bottom = 0
-        ([3, 5, 10], 10, 0, 10),
+        ([], 0, 0),
+        ([], 1, 0),
+        ([1] * 7, 1, 1),
+        ([97], 0, 0),              # a lone prime at the limit
+        ([], 97, 96),
+        ([81], 3, 0),              # p^k equal to the limit
+        ([3], 81, 80),
+        ([64], 2, 1),              # the power of two goes through the shift
+        ([], 64, 0),
+        ([125, 2], 5, 3),
+        ([5, 6], 6, 4),            # cancels to (1, 1)
+        ([2] * 40, 4, 0),
+        ([2], 0, 0),               # sqrt(limit) and limit/2 below 2
+        ([], 2, 0),
+        ([2], 3, 0),
+        ([4, 3], 2, 0),
+        ([7, 14], 49, 47),         # p^2 equal to the limit
+        ([49], 7, 6),
+        ([7, 14, 42], 48, 45),     # 7 just above sqrt(48)
+        ([13, 26], 26, 24),        # p exactly limit/2
+        ([26], 13, 12),
+        ([], 26, 0),
+        ([13], 25, 0),             # p just above limit/2
+        ([], 25, 12),
+        ([4, 3, 2, 1, 1, 1], 4, 2),  # 1s among the factors
+        ([], 10, 10),              # bottom = top
+        ([6, 7], 9, 9),
+        ([], 10, 0),               # bottom = 0
+        ([3, 5, 10], 10, 0),
     ]
-    for factors, top, bottom, limit in cases:
-        assert counts._ratio(factors, top, bottom, limit) == \
+    for factors, top, bottom in cases:
+        assert counts._ratio(factors, top, bottom) == \
             _ratio_reference(factors, top, bottom), (factors, top, bottom)
-    assert counts._ratio([5, 6], 6, 4, 6) == (1, 1)
-    assert counts._ratio([], 10, 10, 10) == (1, 1)
-    assert counts._ratio([], 5, 0, 5) == (120, 1)
-    assert counts._ratio([], 97, 96, 200) == (97, 1)  # a limit above top
+    assert counts._ratio([5, 6], 6, 4) == (1, 1)
+    assert counts._ratio([], 10, 10) == (1, 1)
+    assert counts._ratio([], 5, 0) == (120, 1)
 
 
 def test_hook_count_matches_residue_oracle():
@@ -235,13 +235,31 @@ def test_mean_size_matches_oracle():
 
 
 def test_cumulative_size_values():
-    assert [counts.cumulative_size(n) for n in range(1, 9)] == \
-        [1, 2, 8, 44, 312, 2772, 30024, 385688]
+    assert [counts.cumulative_size(n) for n in range(-1, 9)] == \
+        [0, 0, 1, 2, 8, 44, 312, 2772, 30024, 385688]
 
 
 def test_cumulative_size_is_integer_rescaling():
     for n in range(1, 15):
         assert counts.cumulative_size(n) == counts.mean_size(n) * counts.catalan(n)
+
+
+@pytest.mark.parametrize("call, n, message", [
+    (counts.catalan, 0, "n must be at least 1"),
+    (counts.increasing_count, 0, "n must be at least 1"),
+    (counts.mean_width, 0, "n must be at least 1"),
+    (counts.mean_width_asymptotic, 0, "n must be at least 1"),
+    (lambda n: counts.mean_level_width(n, 0), 0, "n must be at least 1"),
+    (counts.asymptotic_size, 0, "n must be at least 1"),
+    (counts.mean_size, -1, "n must be nonnegative"),
+    (counts.geometric_mean_width, 1, "n must be at least 2"),
+    (lambda n: sampling.Rng(1).uniform_int(n), 0, "upper must be at least 1"),
+], ids=["catalan", "increasing_count", "mean_width", "mean_width_asymptotic",
+        "mean_level_width", "asymptotic_size", "mean_size", "geometric_mean_width",
+        "uniform_int"])
+def test_refuses_arguments_below_its_domain(call, n, message):
+    with pytest.raises(ValueError, match=message):
+        call(n)
 
 
 # -- the normalized ratio sequence ----------------------------------------------

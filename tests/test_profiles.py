@@ -93,6 +93,13 @@ def test_cut_count_sequence_domains():
     assert profiles.cut_count_sequence(4)[4] == 29
 
 
+def test_cut_count_sequence_checks_its_recurrence(monkeypatch):
+    # a wrong seed term makes the next quotient of the recurrence inexact
+    monkeypatch.setattr(profiles, "_M_CACHE", profiles._M_CACHE[:6] + [626])
+    with pytest.raises(ArithmeticError, match="non-integer at index 7"):
+        profiles.cut_count_sequence(7)
+
+
 def test_cut_count_sequence_long():
     seq = profiles.cut_count_sequence(60)
     assert len(seq) == 61
