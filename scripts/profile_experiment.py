@@ -9,8 +9,9 @@ the deep end of the profile), three log-scale quantities:
   sampled    mean ln of the level count over uniformly drawn shapes
 
 plus the |exact - limit| gap and the calibrated bound it must stay under.
-Sizes above 200 take a while through the exact column; they are gated
-behind --large so a typo does not start a long run by accident.
+Sizes above 200 take a while through the sampled column, which computes the
+level profile of each of --samples shapes; they are gated behind --large so
+a typo does not start a long run by accident.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def main() -> int:
     if n < 8:
         ap.error("--size must be at least 8")
     if n > 200 and not args.large:
-        ap.error(f"size {n} needs --large (exact column gets slow)")
+        ap.error(f"size {n} needs --large (sampled column gets slow)")
     if n > profiles.PROFILE_FAST_LIMIT:
         ap.error(f"size over the profile cap {profiles.PROFILE_FAST_LIMIT}")
 

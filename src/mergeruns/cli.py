@@ -43,7 +43,7 @@ def _stepped(idx: range, first, step):
 # every sequence `seq` prints: its first index, its values at the indices
 # first..N (a range), and its asymptotic estimate at n (None: no ratio column).
 # Entries look their function up when called, so a wrapper put on the module
-# sees the calls
+# sees the calls and importing this module runs no library module
 SEQ_TABLE = {
     "catalan": (1, lambda idx: _stepped(idx, counts.catalan,
                                         lambda v, n: v * (4 * n - 2) // (n + 1)), None),
@@ -407,12 +407,10 @@ def _seq_rows(idx: range, values, estimate):
     """(n, numerator, denominator, asymptotic ratio or None) at each index of
     idx, each row made as it is asked for."""
     for n, v in zip(idx, values(idx)):
-        if isinstance(v, Fraction):
-            num, den = v.numerator, v.denominator
-        elif isinstance(v, int):
-            num, den = v, 1
-        else:  # a Decimal of more digits than a float (geometric mean)
+        if isinstance(v, Decimal):  # more digits than a float (geometric mean)
             num, den = _sig_digits(v, 12), 1
+        else:  # an int or a Fraction
+            num, den = v.as_integer_ratio()
         est = estimate(n) if estimate else None
         if est is None:
             yield n, num, den, None

@@ -200,10 +200,12 @@ def _prefix_counts(t: trees.SyntaxTree) -> list[int]:
                 repeated = [g for same in groups.values() for g in same if g[1] > 1]
                 rows, width, deg = 0, 1, 0  # the row merges of the same children
                 for vec, k in repeated:
-                    deg += len(vec) - 1
-                    for _ in range(k):
-                        rows += (min(width, len(vec)) - 1) * max(width, len(vec))
-                        width += len(vec) - 1
+                    e = len(vec) - 1
+                    deg += e
+                    # k merges; from the second on, e rows of the current width each
+                    rows += ((min(width, e + 1) - 1) * max(width, e + 1)
+                             + e * (k - 1) * width + e * e * k * (k - 1) // 2)
+                    width += k * e
                 # deg Q * (deg R + deg D) products, with deg R = deg D - 1
                 if repeated and (width - 1) * (2 * deg - 1) < rows:
                     (p, k), *parts = [(vec[::-1], k) for vec, k in repeated]

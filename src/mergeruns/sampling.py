@@ -176,11 +176,7 @@ class PartialSumTree:
 
     def audit(self) -> bool:
         """Recompute every cached sum; True when all of them check out."""
-        m = len(self.keys)
-        fresh = list(self.weights)
-        for i in range(m - 1, 0, -1):
-            fresh[(i - 1) >> 1] += fresh[i]
-        return fresh == self.below
+        return PartialSumTree(zip(self.keys, self.weights)).below == self.below
 
 
 # -- exact probabilities ------------------------------------------------------

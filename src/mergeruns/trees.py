@@ -383,40 +383,37 @@ def _parse_error(text: str, allow_forest: bool) -> ParseError:
     if not text.strip():
         return ParseError("empty input", 0)
     state = _NEED_TERM
-    depth = level = 0               # groups the grammar has open; '(' less ')', at least 0
+    level = 0   # '(' less ')', at least 0: the grammar's open groups until its first fault
     top_bar = fault = None
     for m in re.finditer(_TOKEN, text):
         tok = m.group()
         if m[2]:
             return ParseError("single '|' is not an operator, expected '||'" if tok == "|"
                               else f"unexpected character {tok!r}", m.start())
+        if fault is None:
+            if state >= _AFTER_NAME:
+                if tok == ")" and level:
+                    state = _AFTER_GROUP
+                elif tok == "||":
+                    state = _NEED_TERM
+                elif tok == "." and state == _AFTER_NAME:
+                    state = _NEED_TAIL
+                else:
+                    fault = ParseError("unmatched ')'" if tok == ")"
+                                       else "'.' cannot follow a closed parallel group" if tok == "."
+                                       else f"unexpected {tok!r}", m.start())
+            elif m[1]:
+                state = _AFTER_NAME
+            elif tok == "(" and state == _NEED_TAIL:
+                state = _NEED_TERM
+            else:
+                fault = ParseError(_EXPECTED[state], m.start())
         if tok == "(":
             level += 1
         elif tok == ")":
             level = max(0, level - 1)
         elif tok == "||" and not level and top_bar is None:
             top_bar = m.start()
-        if fault is not None:
-            continue
-        if state >= _AFTER_NAME:
-            if tok == ")" and depth:
-                depth -= 1
-                state = _AFTER_GROUP
-            elif tok == "||":
-                state = _NEED_TERM
-            elif tok == "." and state == _AFTER_NAME:
-                state = _NEED_TAIL
-            else:
-                fault = ParseError("unmatched ')'" if tok == ")"
-                                   else "'.' cannot follow a closed parallel group" if tok == "."
-                                   else f"unexpected {tok!r}", m.start())
-        elif m[1]:
-            state = _AFTER_NAME
-        elif tok == "(" and state == _NEED_TAIL:
-            depth += 1
-            state = _NEED_TERM
-        else:
-            fault = ParseError(_EXPECTED[state], m.start())
     if top_bar is not None and not allow_forest:
         return ParseError("parallel composition at top level needs forest mode", top_bar)
     return fault or ParseError("unclosed '('" if state >= _AFTER_NAME else _EXPECTED[state], len(text))

@@ -14,7 +14,6 @@ import time
 from fractions import Fraction
 
 import mpmath as mp
-import scipy.stats
 
 import conftest
 import oracles
@@ -55,7 +54,11 @@ class Criterion:
 
 
 def chi2_quantile_999(df: int) -> float:
-    return float(scipy.stats.chi2.ppf(0.999, df))
+    # the x where the chi-squared CDF, P(df/2, x/2), reaches 0.999; the
+    # search starts near the quantile, which is about df + 3.1 sqrt(2 df)
+    return float(mp.findroot(
+        lambda x: mp.gammainc(df / 2, 0, x / 2, regularized=True) - 0.999,
+        df + 4 * mp.sqrt(df) + 6))
 
 
 def test_criterion_01_reference_anchors():

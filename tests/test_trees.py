@@ -27,6 +27,7 @@ from mergeruns import cli, profiles, sampling, trees
     ("  a .( b||c )  ", "a.(b || c)"),
     ("x1.(y_2 || z)", "x1.(y_2 || z)"),
     ("a.b.(c || d.(e || f))", "a.b.(c || d.(e || f))"),
+    ("a.(b)", "a.b"),
 ])
 def test_parse_accepts(text, term):
     assert trees.parse_process(text).to_term() == term
@@ -281,6 +282,16 @@ _PIECES = ["a", "b", "x1", "_", ".", "(", ")", "||", "|", "$", "\u00e9", " ", "\
 def test_parser_matches_reference_on_joined_tokens(text):
     for allow_forest in (False, True):
         assert _parse_outcome(text, allow_forest) == _reference_outcome(text, allow_forest)
+
+
+def test_parser_matches_reference_on_every_short_text():
+    # every text of at most 4 pieces: each mix of faults and their order
+    # that fits in that length, where the sampled tests above may miss one
+    for n in range(5):
+        for pieces in product(_PIECES, repeat=n):
+            text = "".join(pieces)
+            for allow_forest in (False, True):
+                assert _parse_outcome(text, allow_forest) == _reference_outcome(text, allow_forest)
 
 
 _TERM_TOKENS = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|\|\||[.()]")
