@@ -177,7 +177,7 @@ def _parse_term(args) -> trees.SyntaxTree:
     if args.input is not None:
         if args.term is not None:
             raise ValueError("give a term or --input, not both")
-        with open(args.input, encoding="utf-8") as fh:
+        with open(args.input, encoding="utf-8-sig") as fh:
             try:
                 text = fh.read()
             except UnicodeDecodeError as exc:

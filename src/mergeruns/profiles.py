@@ -159,7 +159,8 @@ def _prefix_counts(t: trees.SyntaxTree) -> list[int]:
     in all.  Reverse id order finishes a node's children, last first, before
     the node; each waits under its parent's key until the parent pops them.
     Two children merge as they come (the fold never wins there, and the
-    first merge is a copy), three or more in child order after grouping.
+    first merge is a copy); three or more are grouped in one list, in order
+    of first appearance.
     """
     def merged(acc: list[int], other: list[int]) -> list[int]:
         # the binomial convolution by rows of other (other[0] == 1) over
@@ -187,17 +188,15 @@ def _prefix_counts(t: trees.SyntaxTree) -> list[int]:
             # rows, L(L - 1), never cost more than its fold, (2L - 2)(2L - 3)
             if len(kids) > 2:
                 kids.reverse()  # to child order, which the groups and merges follow
-                # equal vectors have equal lengths, so only those are compared
-                groups: dict[int, list[list]] = {}
+                groups: list[list] = []  # [vector, multiplicity]
                 for vec in kids:
-                    same = groups.setdefault(len(vec), [])
-                    for g in same:
+                    for g in groups:
                         if g[0] == vec:
                             g[1] += 1
                             break
                     else:
-                        same.append([vec, 1])
-                repeated = [g for same in groups.values() for g in same if g[1] > 1]
+                        groups.append([vec, 1])
+                repeated = [g for g in groups if g[1] > 1]
                 rows, width, deg = 0, 1, 0  # the row merges of the same children
                 for vec, k in repeated:
                     e = len(vec) - 1
@@ -220,7 +219,7 @@ def _prefix_counts(t: trees.SyntaxTree) -> list[int]:
                             q += acc[m - j] * (binom[j] * r[j] - binom[j + 1] * d[j + 1])
                             binom[j + 1] += binom[j]  # to binom(m + 1, j + 1), once read
                         acc.append(q)
-                    kids = [g[0] for same in groups.values() for g in same if g[1] == 1]
+                    kids = [g[0] for g in groups if g[1] == 1]
             for other in kids:
                 other.reverse()
                 acc = merged(acc, other)

@@ -291,9 +291,10 @@ def parse_process(text: str, allow_forest: bool = False) -> SyntaxTree:
 
     A split on the action names, about _CHUNK characters at a time, gives
     the labels and the separator text between each two of them.  Each
-    distinct separator is classified once per call by one regular
-    expression (_SeparatorCodes), and one step per action then writes the
-    node's parent, touching the stack of open groups only at '.(' and
+    chunk's separators are classified and walked before the next chunk is
+    split: each distinct separator is classified once per call by one
+    regular expression (_SeparatorCodes), and one step per action writes
+    the node's parent, touching the stack of open groups only at '.(' and
     '||'.  A rejected term is worded by _parse_error, one pass of the
     grammar's states over the whole text, under the priorities above.
     """
@@ -303,54 +304,47 @@ def parse_process(text: str, allow_forest: bool = False) -> SyntaxTree:
     # chunk's separators are alive at once.  A split gives the separators
     # at even indices and the names between them at odd ones.
     labels: list[str] = []
-    codes: list[float] = []
     code_of = _SeparatorCodes().__getitem__
-    start = 0
-    while True:
-        cut = _NAME_START.search(text, start + _CHUNK)
-        stop = cut.start() if cut else len(text)
-        seps = _NAME.split(text[start:stop])
-        if not start:
-            first = seps[0]
-        labels += seps[1::2]
-        del seps[1::2]
-        if not cut:
-            break
-        # a name follows the chunk's last separator; a later chunk's
-        # separator 0 is empty
-        codes += map(code_of, islice(seps, 1, None))
-        start = stop
-    codes += map(code_of, islice(seps, 1, len(seps) - 1))
-    last = seps[-1]
-    del seps, code_of
-    if not labels or first.strip():
-        raise _parse_error(text, allow_forest)
-
     parents = [0]
     append = parents.append
     top = 0                         # the node whose '.(' opened the innermost group, 0 at top level
     outer: list[int] = []           # top of each enclosing group, innermost last
     push = outer.append
     pop = outer.pop
-    for v, code in enumerate(codes, 1):   # code of the separator after node v
-        if code == _DOT:
-            append(v)
-        elif code == _OPEN:
-            append(v)
-            push(top)
-            top = v
-        elif code:
-            if code > len(outer):   # an unmatched ')', or _REJECTED
-                raise _parse_error(text, allow_forest)
-            if code > 1:
-                del outer[1 - code:]
-            top = pop()
-            append(top)
-        else:
-            append(top)
-    del codes
+    start = v = 0                   # v: the labels read before the chunk
+    while True:
+        cut = _NAME_START.search(text, start + _CHUNK)
+        stop = cut.start() if cut else len(text)
+        seps = _NAME.split(text[start:stop])
+        if not start and seps[0].strip():
+            raise _parse_error(text, allow_forest)
+        labels += seps[1::2]
+        del seps[1::2]
+        # the code of the separator after node v; a name follows each
+        # chunk's last separator but the last chunk's, and a later chunk's
+        # separator 0 is empty
+        for v, code in enumerate(map(code_of, islice(seps, 1, None if cut else len(seps) - 1)), v + 1):
+            if code == _DOT:
+                append(v)
+            elif code == _OPEN:
+                append(v)
+                push(top)
+                top = v
+            elif code:
+                if code > len(outer):   # an unmatched ')', or _REJECTED
+                    raise _parse_error(text, allow_forest)
+                if code > 1:
+                    del outer[1 - code:]
+                top = pop()
+                append(top)
+            else:
+                append(top)
+        if not cut:
+            break
+        start = stop
     # the end of input may only close the groups still open
-    if last.count(")") != len(outer) or last.replace(")", "").strip():
+    last = seps[-1]
+    if not labels or last.count(")") != len(outer) or last.replace(")", "").strip():
         raise _parse_error(text, allow_forest)
     if parents.count(0) > 1:        # a '||' at top level
         if not allow_forest:

@@ -719,6 +719,15 @@ def test_input_file(tmp_path, capsys):
     assert out.splitlines()[0] == "8"
 
 
+def test_input_file_skips_a_byte_order_mark(tmp_path, capsys):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_text(TERM + "\n", encoding="utf-8")
+    marked.write_text(TERM + "\n", encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    outputs = [run(capsys, "count", "--input", str(f)) for f in (plain, marked)]
+    assert outputs[0] == outputs[1] and outputs[0][0] == 0
+
+
 def test_input_and_positional_conflict(tmp_path, capsys):
     f = tmp_path / "term.txt"
     f.write_text(TERM)

@@ -250,7 +250,11 @@ def test_profile_matches_pairwise_repeated_children():
               wide(600),
               # a forest whose components repeat: three 2-chains, two cherries
               trees.parse_process("a.b || c.(d || e) || f.g || k || h.(i || j) || l.m",
-                                  allow_forest=True)]:
+                                  allow_forest=True),
+              # mirror-image shapes of equal vector (1, 2, 3, 3) and two
+              # 5-entry groups apart from the leaves: the fold wins, 612 < 614
+              trees.parse_process("r.(" + " || ".join(["a.(b || c.d)", "e", "a.b.(c || d)", "a.(c.d || b)",
+                                                       "e", "a.b.(c || d)"] * 2) + ")")]:
         assert_matches_pairwise(t)
 
 

@@ -343,13 +343,18 @@ def test_parser_matches_reference_on_large_terms():
     # long ')' runs, deep and wide groups and many components, then each of
     # these edits at one point in the later two thirds: a character
     # inserted, replaced or deleted, a ')' inserted, the next '(' or ')'
-    # deleted
+    # deleted.  One more text carries two inserted characters, one in the
+    # first 16384 characters, the parser's first chunk, and one in the
+    # later two thirds, so the fault priorities hold across chunks
     rnd = random.Random(28)
+    rnd2 = random.Random(29)
     for name, text in _large_terms():
         i = rnd.randrange(len(text) // 3, len(text))
         c = rnd.choice(_MUTATIONS)
         texts = [text, text[:i] + c + text[i:], text[:i] + c + text[i + 1:], text[:i] + text[i + 1:],
                  text[:i] + ")" + text[i:]]
+        j, k = rnd2.randrange(min(16384, len(text) // 3)), rnd2.randrange(len(text) // 3, len(text))
+        texts.append(text[:j] + rnd2.choice(_MUTATIONS) + text[j:k] + rnd2.choice(_MUTATIONS) + text[k:])
         for paren in "()":
             j = text.find(paren, i)
             if j >= 0:
