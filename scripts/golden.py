@@ -87,6 +87,11 @@ def _repeated(sub: list[int], k: int, leaves: int) -> list[int]:
     return word
 
 
+# 23299 characters, so the parser splits it into two chunks; the second copy
+# doubles the first '.' from character 17474 on, a fault in the second chunk
+LONG = _term(_random(4000, 17))
+LONG_FAULT = LONG[:17474] + LONG[17474:].replace(".", "..", 1)
+
 COMMANDS = [
     ["--version"],
     # count
@@ -101,6 +106,10 @@ COMMANDS = [
     # first, so that the two test ids differ)
     ["count", _term(_random(2000, 17))],
     ["count", "--format", "json", _term(_random(2000, 17))],
+    # a term of two parser chunks, and a fault in its second chunk (options
+    # first, so that the two test ids differ)
+    ["count", LONG],
+    ["count", "--format", "text", LONG_FAULT],
     # parse and usage errors
     ["count", "a.(b || "],
     ["count", "a | b"],
@@ -154,6 +163,9 @@ COMMANDS = [
     ["profile", "--oracle", "--format", "json", STAR18],
     ["profile", _term(_random(18, 3)), "--oracle", "--format", "text"],
     ["profile", _term([1] * 18 + [0]), "--oracle"],
+    # one node past the profile cap of 5000 nodes (options first, so that its
+    # test id differs from the 150-node chain's)
+    ["profile", "--format", "csv", _term([1] * 5000 + [0])],
     ["profile", FOREST, "--forest", "--format", "json"],
     ["profile", _term([200] + [0] * 200), "--format", "text"],
     ["profile", _term(_wide(300)), "--format", "csv"],
@@ -179,6 +191,8 @@ COMMANDS = [
     ["semantic", WIDE, "--budget", "100"],
     # the exact count 287967 decides, past both lower bounds
     ["semantic", "--budget", "200000", WIDE],
+    # a chain of 1000 nodes has a node per level, past a budget of 999
+    ["semantic", "--budget", "999", _term([1] * 999 + [0])],
     # a computation tree of many write chunks in every format (options
     # first, so that the three test ids differ)
     *[["semantic", "--format", fmt, STAR8] for fmt in ["dot", "json", "text"]],
@@ -189,6 +203,9 @@ COMMANDS = [
       for fmt in ["text", "json", "csv"]],
     ["seq", "mean_size", "--to", "6", "--format", "csv"],
     ["seq", "m_cuts", "--to", "2"],
+    # one row: the first value, with no step taken
+    ["seq", "catalan", "--to", "1"],
+    ["seq", "increasing", "--to", "1", "--format", "json"],
     # the ratio past n = 197 and the digits past 1e308
     ["seq", "mean_width", "--to", "220", "--format", "json"],
     ["seq", "mean_size", "--to", "210"],

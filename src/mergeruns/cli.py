@@ -20,7 +20,7 @@ import math
 import sys
 from collections import Counter
 from decimal import Decimal
-from fractions import Fraction
+from itertools import accumulate
 
 from . import RNG_ALGORITHM, __version__
 from . import counts, profiles, sampling, trees
@@ -29,26 +29,17 @@ SCI_SUFFIX_DIGITS = 10  # counts from 10^9 up get a scientific suffix
 DEFAULT_SEED = 1
 
 
-def _stepped(idx: range, first, step):
-    """first(idx[0]), then each next value from the one before: step(value,
-    n) is the value at n + 1, one product by a small factor instead of a fresh
-    call."""
-    value = first(idx[0])
-    yield value
-    for n in idx[:-1]:
-        value = step(value, n)
-        yield value
-
-
 # every sequence `seq` prints: its first index, its values at the indices
 # first..N (a range), and its asymptotic estimate at n (None: no ratio column).
 # Entries look their function up when called, so a wrapper put on the module
-# sees the calls and importing this module runs no library module
+# sees the calls and importing this module runs no library module.  catalan and
+# increasing call theirs at the first index only: step(v, n) makes the value at
+# n + 1 from v, the value at n, by one product with a small factor
 SEQ_TABLE = {
-    "catalan": (1, lambda idx: _stepped(idx, counts.catalan,
-                                        lambda v, n: v * (4 * n - 2) // (n + 1)), None),
-    "increasing": (1, lambda idx: _stepped(idx, counts.increasing_count,
-                                           lambda v, n: v * (2 * n - 1)), None),
+    "catalan": (1, lambda idx: accumulate(idx[:-1], lambda v, n: v * (4 * n - 2) // (n + 1),
+                                          initial=counts.catalan(idx[0])), None),
+    "increasing": (1, lambda idx: accumulate(idx[:-1], lambda v, n: v * (2 * n - 1),
+                                             initial=counts.increasing_count(idx[0])), None),
     "mean_width": (1, lambda idx: map(counts.mean_width, idx),
                    lambda n: counts.mean_width_asymptotic(n)),
     "mean_size": (0, lambda idx: map(counts.mean_size, idx),
@@ -85,16 +76,19 @@ def _build_parser() -> _Parser:
                         help="allow '||' at top level under a synthetic root")
 
     sp = sub.add_parser("count", help="number of complete runs, checked mod 2^61 - 1")
+    sp.set_defaults(run=_cmd_count)
     term_args(sp)
     sp.add_argument("--format", choices=["text", "json"], default="text")
 
     sp = sub.add_parser("prob", help="probability of a run prefix under uniform-run sampling")
+    sp.set_defaults(run=_cmd_prob)
     term_args(sp)
     sp.add_argument("--prefix", required=True, metavar="A,B,...",
                     help="comma-separated actions: label, label#id, or #id")
     sp.add_argument("--format", choices=["text", "json"], default="text")
 
     sp = sub.add_parser("sample", help="draw uniform complete runs")
+    sp.set_defaults(run=_cmd_sample)
     term_args(sp)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--samples", type=int, default=1, metavar="K")
@@ -103,29 +97,34 @@ def _build_parser() -> _Parser:
     sp.add_argument("--format", choices=["text", "json"], default="text")
 
     sp = sub.add_parser("profile", help="run prefix counts per level")
+    sp.set_defaults(run=_cmd_profile)
     term_args(sp)
     sp.add_argument("--oracle", action="store_true",
                     help="force the admissible-cut enumeration route")
     sp.add_argument("--format", choices=["csv", "json", "text"], default="csv")
 
     sp = sub.add_parser("semantic", help="expand the explicit computation tree")
+    sp.set_defaults(run=_cmd_semantic)
     term_args(sp)
     sp.add_argument("--budget", type=int,  # None: profiles.SEMANTIC_NODE_BUDGET
                     help="maximum node count to materialize")
     sp.add_argument("--format", choices=["dot", "json", "text"], default="dot")
 
     sp = sub.add_parser("seq", help="counting sequences up to an index")
+    sp.set_defaults(run=_cmd_seq)
     sp.add_argument("name", choices=sorted(SEQ_TABLE))
     sp.add_argument("--to", type=int, required=True, metavar="N")
     sp.add_argument("--format", choices=["text", "json", "csv"], default="text")
 
     sp = sub.add_parser("gen", help="draw uniform random shapes")
+    sp.set_defaults(run=_cmd_gen)
     sp.add_argument("--size", type=int, required=True, metavar="N")
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     sp.add_argument("--count", type=int, default=1, metavar="K")
     sp.add_argument("--format", choices=["term", "dot", "json"], default="term")
 
-    sub.add_parser("selftest", help="run the built-in consistency checks")
+    sp = sub.add_parser("selftest", help="run the built-in consistency checks")
+    sp.set_defaults(run=_cmd_selftest)
     return p
 
 
@@ -137,8 +136,8 @@ def _fmt_digits(s: str) -> str:
     return f"{s} (~{Decimal(s):.6e})"
 
 
-def _sig_digits(x: Fraction | Decimal, digits: int) -> str:
-    """x to ``digits`` significant digits.
+def _sig_digits(x, digits: int) -> str:
+    """x, a Fraction or a Decimal, to ``digits`` significant digits.
 
     The float's "g" form while float(x) is a normal float.  Past the float
     range, where it would read 0 or inf, x's exact digits rounded half to
@@ -471,23 +470,31 @@ CHI2_Q999_DF7 = 24.3219
 REFERENCE_TERM = "a.b.(c || d.(e || f))"
 
 
+def _expect(anchors: dict) -> None:
+    """Raise, also under python -O, naming each anchor whose value differs from
+    the expected one; anchors maps a name to (value, expected)."""
+    wrong = [f"{name} is {got!r}, expected {want!r}"
+             for name, (got, want) in anchors.items() if got != want]
+    if wrong:
+        raise AssertionError("; ".join(wrong))
+
+
 def _check_reference_term():
     t = trees.parse_process(REFERENCE_TERM)
-    assert t.size == 6
-    assert counts.hook_count(t) == 8
-    assert sampling.count_runs_via_probability(t) == 8
-    assert profiles.level_profile(t) == (1, 1, 2, 4, 8, 8)
-    assert profiles.semantic_size(t) == 24
-    assert profiles.cut_profile(t) == (1, 1, 2, 4, 8, 8)
-    assert sampling.prefix_probability(t, (1, 2, 4)) == Fraction(3, 4)
     # counted off the expansion: a preorder parent comes before its children,
     # and the distinct parents are the inner nodes and the root's parent 0
     parents, _ = profiles.semantic_expansion(t)
     depths = [-1]
     for p in parents:
         depths.append(depths[p] + 1)
-    assert (len(parents), len(parents) - len(set(parents)) + 1) == (24, 8)
-    assert tuple(Counter(depths[1:]).values()) == (1, 1, 2, 4, 8, 8)
+    _expect({"size": (t.size, 6), "hook_count": (counts.hook_count(t), 8),
+             "count_runs_via_probability": (sampling.count_runs_via_probability(t), 8),
+             "level_profile": (profiles.level_profile(t), (1, 1, 2, 4, 8, 8)),
+             "semantic_size": (profiles.semantic_size(t), 24),
+             "cut_profile": (profiles.cut_profile(t), (1, 1, 2, 4, 8, 8)),
+             "prefix_probability": (sampling.prefix_probability(t, (1, 2, 4)).as_integer_ratio(), (3, 4)),
+             "expansion nodes and branches": ((len(parents), len(parents) - len(set(parents)) + 1), (24, 8)),
+             "expansion levels": (tuple(Counter(depths[1:]).values()), (1, 1, 2, 4, 8, 8))})
 
 
 def _check_run_sampling_uniform():
@@ -495,10 +502,10 @@ def _check_run_sampling_uniform():
     rng = sampling.Rng(2024)
     draws = 400
     hits = Counter(sampling.sample_run(t, rng) for _ in range(draws))
-    assert len(hits) == 8
     expected = draws / 8
     stat = sum((c - expected) ** 2 / expected for c in hits.values())
-    assert stat < CHI2_Q999_DF7, stat
+    _expect({"distinct runs": (len(hits), 8),
+             f"chi-square {stat:.4f} < {CHI2_Q999_DF7}": (stat < CHI2_Q999_DF7, True)})
 
 
 SELFTEST_CHECKS = [
@@ -524,18 +531,6 @@ def _cmd_selftest(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "count": _cmd_count,
-    "prob": _cmd_prob,
-    "sample": _cmd_sample,
-    "profile": _cmd_profile,
-    "semantic": _cmd_semantic,
-    "seq": _cmd_seq,
-    "gen": _cmd_gen,
-    "selftest": _cmd_selftest,
-}
-
-
 def run_cli(argv) -> int:
     """Run one command; returns the exit code instead of calling sys.exit.
 
@@ -552,7 +547,7 @@ def run_cli(argv) -> int:
     if digits is not None:
         sys.set_int_max_str_digits(0)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except trees.BudgetError as exc:
         print(f"mergeruns: budget exceeded: {exc}", file=sys.stderr)
         return 2

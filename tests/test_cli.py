@@ -832,12 +832,13 @@ print(json.dumps(loaded))
 """
 
 
-def _fresh_python(script: str, *args: str):
-    """What a fresh interpreter running script with args prints, as JSON."""
+def _fresh_python(script: str, *args: str, flags=()):
+    """What a fresh interpreter, started with the interpreter options flags,
+    running script with args prints, as JSON."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    proc = subprocess.run([sys.executable, "-c", script, *args],
+    proc = subprocess.run([sys.executable, *flags, "-c", script, *args],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
@@ -851,6 +852,34 @@ def test_cli_import_leaves_numpy_out():
     loaded = _fresh_python(GUARD_SCRIPT, json.dumps(LIGHT_COMMANDS + [mean_width]))
     assert loaded.pop(" ".join(mean_width)) == []
     assert loaded == {"import": [], **{" ".join(argv): [] for argv in LIGHT_COMMANDS}}
+
+
+def test_cli_import_leaves_fractions_out():
+    # selftest compares the one Fraction it checks by as_integer_ratio(), so
+    # importing the CLI loads no fractions module
+    script = "import json, sys\nimport mergeruns.cli\nprint(json.dumps('fractions' in sys.modules))"
+    assert _fresh_python(script) is False
+
+
+SELFTEST_SCRIPT = """
+import contextlib, io, json, sys
+from mergeruns import cli, counts
+if sys.argv[1] == "broken":
+    counts.hook_count = lambda t: 7  # a wrong reference-term anchor
+out = io.StringIO()
+with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    code = cli.run_cli(["selftest"])
+print(json.dumps([sys.flags.optimize, code, out.getvalue()]))
+"""
+
+
+def test_selftest_checks_under_python_O(capsys):
+    # python -O strips assert statements; selftest's checks must still run
+    plain = run(capsys, "selftest")[1]
+    assert _fresh_python(SELFTEST_SCRIPT, "intact", flags=["-O"]) == [1, 0, plain]
+    optimize, code, out = _fresh_python(SELFTEST_SCRIPT, "broken", flags=["-O"])
+    assert (optimize, code) == (1, 3)
+    assert out.splitlines()[0] == "FAIL reference-term: hook_count is 7, expected 8"
 
 
 NO_MPMATH_SCRIPT = """
