@@ -219,6 +219,12 @@ COMMANDS = [
     ["gen", "--size", "120", "--seed", "3", "--count", "3", "--format", "json"],
     ["gen", "--size", "100000", "--format", "json"],  # 550 levels, over 1000 nested containers
     ["gen", "--size", "1000000000"],
+    # the term writer's edges: a lone root, one edge, many short shapes and
+    # a 10^5-node term
+    ["gen", "--size", "1", "--count", "3"],
+    ["gen", "--size", "2", "--seed", "4", "--count", "2"],
+    ["gen", "--size", "12", "--seed", "9", "--count", "200"],
+    ["gen", "--size", "100000", "--seed", "7"],
     ["selftest"],
 ]
 

@@ -454,13 +454,20 @@ def _cmd_gen(args) -> int:
     rng = sampling.Rng(args.seed)
     # a tuple, so every tree shares it instead of copying a list
     labels = tuple(trees.default_labels(args.size))
-    draws = (sampling.uniform_random_tree(args.size, rng, labels) for _ in range(args.count))
-    if args.format == "json":
-        _print_items(f'{{"seed": {args.seed}, "trees": [', (t.to_json() for t in draws), "]}")
+    # each shape is printed as it is drawn; a term or a record is written
+    # straight from the sampled degree word, with no tree built
+    if args.format == "dot":
+        for _ in range(args.count):
+            print(sampling.uniform_random_tree(args.size, rng, labels).to_dot())
         return 0
-    # each shape is printed as it is drawn
-    for t in draws:
-        print(t.to_dot() if args.format == "dot" else t.to_term())
+    as_json = args.format == "json"
+    texts = (trees._write_nested(sampling._uniform_degree_word(args.size, rng), labels, as_json)
+             for _ in range(args.count))
+    if as_json:
+        _print_items(f'{{"seed": {args.seed}, "trees": [', texts, "]}")
+    else:
+        for text in texts:
+            print(text)
     return 0
 
 

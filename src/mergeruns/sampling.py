@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import accumulate, repeat
+from operator import sub
 from typing import Iterable, Sequence
 
 from . import RNG_ALGORITHM, counts
@@ -53,6 +55,8 @@ class Rng:
         The rejection loop of random.Random._randbelow_with_getrandbits,
         run over the public getrandbits: the draws and the generator state
         are those of randrange(upper) + 1, without its two Python frames.
+        subset and sample_run run the same loop in line, with no call per
+        draw.
         """
         if upper < 1:
             raise ValueError("upper must be at least 1")
@@ -233,24 +237,26 @@ def sample_run(t: SyntaxTree, rng: Rng) -> tuple[int, ...]:
     The multiset is PartialSumTree's heap written out inline: id v sits in
     slot v - 1, the children of slot i are 2i + 1 and 2i + 2,
     ``weights[i]`` is the slot's own weight and ``below[i]`` its subtree's
-    sum.  A draw x = rng.uniform_int(total) descends through the left
-    subtree, then the slot, then the right subtree, exactly as
-    PartialSumTree.sample does.  The drawn slot i is retired at the start
-    of the next round, together with enabling the new action's first
-    child, which sits in slot i + 1: the two root paths are walked up
-    together, the larger index moving up each time, i's side losing the
-    drawn weight and the child's side gaining its own, and from the slot
-    where they meet up to the root the net change is added once.  The other
-    children, and a drawn leaf's retirement, walk one root path each as
-    PartialSumTree.update does.  The sums before every draw are those of
+    sum.  A draw x = rng.uniform_int(total) - 1, Rng.uniform_int's
+    rejection loop run in line over the generator's getrandbits, descends
+    through the left subtree, then the slot, then the right subtree,
+    exactly as PartialSumTree.sample does with x + 1.  The drawn slot i is
+    retired at the start of the next round, together with enabling the new
+    action's first child, which sits in slot i + 1: the two root paths are
+    walked up together, the larger index moving up each time, i's side
+    losing the drawn weight and the child's side gaining its own, and from
+    the slot where they meet up to the root the net change is added once.
+    The other children, and a drawn leaf's retirement, walk one root path
+    each as PartialSumTree.update does.  The sums before every draw are those of
     the same procedure on a PartialSumTree, so the runs and the generator's
     state afterwards equal that route's.  It is inlined because a run
     would otherwise build one tree object, with a key map it never needs,
-    and make a method call per enabled action and per draw.
+    and make a method call per enabled action and per draw; as it is, a
+    step calls no Python function.
     """
     sizes = t.subtree_sizes()
     n = t.size
-    draw = rng.uniform_int
+    getrandbits = rng._r.getrandbits
     weights = [0] * n
     below = [0] * n
     run = [1]  # the root is the only enabled action, no randomness spent
@@ -298,18 +304,22 @@ def sample_run(t: SyntaxTree, rng: Rng) -> tuple[int, ...]:
                 below[i] -= w
         total = below[0]
         assert total == n - p + 1
-        x = draw(total)
+        # x = rng.uniform_int(total) - 1, its rejection loop run in line
+        k = total.bit_length()
+        x = getrandbits(k)
+        while x >= total:
+            x = getrandbits(k)
         i = 0
         while True:
             left = 2 * i + 1
             if left < n:
                 b = below[left]
-                if x <= b:
+                if x < b:
                     i = left
                     continue
                 x -= b
             w = weights[i]
-            if x <= w:
+            if x < w:
                 break
             x -= w
             i = left + 1
@@ -318,12 +328,21 @@ def sample_run(t: SyntaxTree, rng: Rng) -> tuple[int, ...]:
 
 
 def uniform_random_tree(n: int, rng: Rng, labels: Sequence[str] | None = None) -> SyntaxTree:
-    """A shape of size n drawn uniformly from all catalan(n) shapes.
+    """A shape of size n drawn uniformly from all catalan(n) shapes: the
+    tree of _uniform_degree_word(n, rng), through
+    SyntaxTree.from_degree_word."""
+    return SyntaxTree.from_degree_word(_uniform_degree_word(n, rng), labels)
+
+
+def _uniform_degree_word(n: int, rng: Rng) -> list[int]:
+    """The prefix-traversal degree word of a shape of size n, drawn
+    uniformly from all catalan(n) shapes.
 
     A uniform (n-1)-subset of 2n-2 slots encodes a degree word summing to
     n-1; exactly one cyclic rotation of any such word is valid, found after
     the first prefix-sum minimum, and distinct words have disjoint rotation
     classes, so validity correction costs nothing and the result is exact.
+    gen writes its terms and records straight from this word.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -334,13 +353,6 @@ def uniform_random_tree(n: int, rng: Rng, labels: Sequence[str] | None = None) -
         degrees[pos - j] += 1
     # rotate to the unique valid word: start right after the first minimum
     # of the running sum of (degree - 1)
-    best = 0
-    acc = 0
-    cut = n - 1
-    for i, d in enumerate(degrees):
-        acc += d - 1
-        if acc < best:
-            best = acc
-            cut = i
-    rotated = degrees[cut + 1:] + degrees[:cut + 1]
-    return SyntaxTree.from_degree_word(rotated, labels)
+    acc = list(accumulate(map(sub, degrees, repeat(1))))
+    cut = acc.index(min(acc)) + 1
+    return degrees[cut:] + degrees[:cut]

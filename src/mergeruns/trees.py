@@ -18,7 +18,7 @@ in parse_process.
 from __future__ import annotations
 
 import re
-from itertools import chain, count, islice, product
+from itertools import chain, count, islice, product, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Sequence
 
@@ -197,42 +197,70 @@ class SyntaxTree:
 
     def to_term(self) -> str:
         """Render as a term string parseable by parse_process."""
-        deg = (0, *self.degree_word())
-        heads = [label + (".(" if d > 1 else "." if d else "")
-                 for label, d in zip(("",) + self._labels, deg)]
-        tails = [")" if d > 1 else "" for d in deg]
-        if self._labels[0] == FOREST_ROOT_LABEL:  # components joined by bars alone
-            heads[1] = tails[1] = ""
-        return self._write_nested(heads, tails, " || ")
+        return _write_nested(self.degree_word(), self._labels)
 
     def to_json(self) -> str:
         """The nested record {"label": ..., "children": [...]} as the text
         json.dumps(record, sort_keys=True) writes, for a tree of any height."""
-        tails = [f'], "label": {_json_string(label)}}}' for label in ("",) + self._labels]
-        return self._write_nested(['{"children": ['] * len(tails), tails, ", ")
-
-    def _write_nested(self, heads: Sequence[str], tails: Sequence[str], sep: str) -> str:
-        """Each node's head, its subtrees joined by sep, then its tail (both by
-        node id), in one pass: the path from the root to the node last written
-        is popped back to each node's parent, writing the tails of those left."""
-        parents = self._parents
-        out = [heads[1]]
-        path = [1]
-        for v in range(2, len(parents) + 1):
-            p = parents[v - 1]
-            if path[-1] != p:
-                while path[-1] != p:
-                    out.append(tails[path.pop()])
-                out.append(sep)
-            out.append(heads[v])
-            path.append(v)
-        out.extend(tails[v] for v in reversed(path))
-        return "".join(out)
+        return _write_nested(self.degree_word(), self._labels, as_json=True)
 
     def to_dot(self) -> str:
         out: list[str] = []
         _dot("syntax_tree", self._labels, self._parents, range(1, self.size + 1), out.append)
         return "".join(out)
+
+
+def _write_nested(degrees: Sequence[int], labels: Sequence[str], as_json: bool = False) -> str:
+    """The term, or with as_json the JSON record, of the tree whose
+    prefix-traversal degrees and labels are given, in one pass over them.
+
+    Each node writes its head, its subtrees joined by a separator, then
+    its tail.  A term's head is the label, then "." over one child or ".("
+    over several, and only a node of several children has a tail, ")"; a
+    record's head is constant and every node's tail holds its label.  The
+    children still to write of each open node, and its tail, sit on two
+    stacks; after a leaf, the nodes it finishes are popped, writing their
+    tails, up to the first with a child left, where the separator goes.
+    A term whose root is FOREST_ROOT_LABEL writes its components joined
+    by bars alone.
+    """
+    if as_json:
+        heads = repeat('{"children": [')
+        tails = [f'], "label": {_json_string(label)}}}' for label in labels]
+        sep, one, several = ", ", "", ""
+    else:
+        heads, tails = labels, repeat(")")
+        sep, one, several = " || ", ".", ".("
+    out: list[str] = []
+    write = out.append
+    left: list[int] = []
+    closes: list[str] = []
+    nodes = zip(degrees, heads, tails)
+    if not as_json and labels[0] == FOREST_ROOT_LABEL:  # no head and no tail
+        left.append(next(nodes)[0])
+        closes.append("")
+    for d, head, tail in nodes:
+        if d == 1:
+            write(head + one)
+            if as_json:
+                left.append(1)
+                closes.append(tail)
+        elif d:
+            write(head + several)
+            left.append(d)
+            closes.append(tail)
+        else:
+            write(head)
+            if as_json:
+                write(tail)
+            while left:
+                k = left.pop() - 1
+                if k:
+                    left.append(k)
+                    write(sep)
+                    break
+                write(closes.pop())
+    return "".join(out)
 
 
 _DOT_LINES = 1 << 14                # lines of a digraph made into one string at a time

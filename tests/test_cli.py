@@ -709,6 +709,33 @@ def test_gen_bad_size(capsys):
     assert err == "mergeruns: error: --count must be at least 1\n"
 
 
+def _record_word(record):
+    """The prefix-traversal degree word of a nested {"label", "children"} record."""
+    word, stack = [], [record]
+    while stack:
+        node = stack.pop()
+        word.append(len(node["children"]))
+        stack += reversed(node["children"])
+    return word
+
+
+def test_gen_writes_the_sampled_word(capsys):
+    # term and json are written straight from the sampled degree word: they
+    # equal the writers of the tree built from it, and read back to it
+    for n in range(1, 61):
+        labels = tuple(trees.default_labels(n))
+        for seed in (0, 1, 7, 2024):
+            word = sampling._uniform_degree_word(n, sampling.Rng(seed))
+            tree = sampling.uniform_random_tree(n, sampling.Rng(seed), labels)
+            argv = ["gen", "--size", str(n), "--seed", str(seed), "--format"]
+            code, line, err = run(capsys, *argv, "term")
+            assert (code, line, err) == (0, tree.to_term() + "\n", "")
+            assert list(trees.parse_process(line).degree_word()) == word
+            code, doc, err = run(capsys, *argv, "json")
+            assert (code, doc, err) == (0, f'{{"seed": {seed}, "trees": [{tree.to_json()}]}}\n', "")
+            assert _record_word(json.loads(doc)["trees"][0]) == word
+
+
 # -- shared plumbing -----------------------------------------------------------------
 
 def test_input_file(tmp_path, capsys):

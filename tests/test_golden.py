@@ -19,6 +19,16 @@ def test_corpus_covers_the_command_list():
     assert [e["argv"] for e in ENTRIES] == golden.COMMANDS
 
 
-@pytest.mark.parametrize("entry", ENTRIES, ids=lambda e: " ".join(e["argv"])[:60])
+def _test_id(entry):
+    return " ".join(entry["argv"])[:60]
+
+
+def test_corpus_test_ids_are_distinct():
+    # pytest would suffix clashing ids, renaming tests that exist already
+    ids = [_test_id(e) for e in ENTRIES]
+    assert len(set(ids)) == len(ids), [i for i in ids if ids.count(i) > 1]
+
+
+@pytest.mark.parametrize("entry", ENTRIES, ids=_test_id)
 def test_golden_output(entry):
     assert golden.record(entry["argv"]) == entry

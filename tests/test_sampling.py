@@ -1,5 +1,6 @@
 """Randomized machinery: weighted multisets, run sampling, shape sampling."""
 
+import itertools
 import math
 import random
 import tracemalloc
@@ -380,18 +381,20 @@ def test_sample_run_is_always_a_run():
             assert len(run) == n
 
 
-@pytest.fixture
-def bound_log(monkeypatch):
-    """The bound of every Rng.uniform_int call, in call order."""
+def _logged_rng(seed):
+    """Rng(seed) and the (k, value) of every getrandbits call its
+    generator makes, in call order."""
+    rng = sampling.Rng(seed)
     log = []
-    real = sampling.Rng.uniform_int
+    real = rng._r.getrandbits
 
-    def spy(self, upper):
-        log.append(upper)
-        return real(self, upper)
+    def spy(k):
+        value = real(k)
+        log.append((k, value))
+        return value
 
-    monkeypatch.setattr(sampling.Rng, "uniform_int", spy)
-    return log
+    rng._r.getrandbits = spy
+    return rng, log
 
 
 @pytest.fixture
@@ -411,16 +414,30 @@ def draw_log(monkeypatch):
     return log
 
 
-def test_sample_run_observer_invariant(ref_tree, bound_log):
+def test_sample_run_observer_invariant(ref_tree):
+    # the root (step 1) is forced and taken without a draw
+    rng, calls = _logged_rng(23)
+    assert sampling.sample_run(trees.SyntaxTree.from_degree_word([0]), rng) == (1,)
+    assert calls == []
     for t in (ref_tree, sampling.uniform_random_tree(40, sampling.Rng(3))):
-        bound_log.clear()
+        rng, calls = _logged_rng(23)
         n = t.size
-        run = sampling.sample_run(t, sampling.Rng(23))
-        # the root (step 1) is forced and taken without a draw; steps 2..n
-        # draw once each, among the n - p + 1 pending actions
-        assert run[0] == 1 and len(bound_log) == n - 1
-        for p, total in enumerate(bound_log, start=2):
-            assert total == n - p + 1
+        run = sampling.sample_run(t, rng)
+        assert run[0] == 1 and len(run) == n
+        # steps 2..n draw once each among the n - p + 1 pending actions:
+        # k = bound.bit_length() bits a call, rejected while the value is
+        # the bound or more, and exactly one value below it ends the step
+        replay = iter(calls)
+        for p in range(2, n + 1):
+            bound = n - p + 1
+            for k, value in replay:
+                assert k == bound.bit_length()
+                if value < bound:
+                    break
+            else:
+                pytest.fail(f"step {p} drew no value below {bound}")
+        # no call is left over
+        assert next(replay, None) is None
 
 
 def test_sample_run_observer_matches_suspension(ref_tree, draw_log):
@@ -552,6 +569,42 @@ def test_uniform_tree_distribution_small():
     assert len(hits) == counts.catalan(4) == 5
     for key, c in hits.items():
         assert abs(c / n - 1 / 5) < 0.02, key
+
+
+class _ChosenSlots:
+    """Stands in for an Rng whose subset draw returns the given slots."""
+
+    def __init__(self, slots):
+        self.slots = slots
+
+    def subset(self, population, k):
+        assert (population, k) == (2 * len(self.slots), len(self.slots))
+        return list(self.slots)
+
+
+def _rotate_by_loop(degrees):
+    """The valid rotation of a degree word summing to len - 1, cut after the
+    first minimum of the running sum of (degree - 1), found by a loop."""
+    best = acc = 0
+    cut = len(degrees) - 1
+    for i, d in enumerate(degrees):
+        acc += d - 1
+        if acc < best:
+            best = acc
+            cut = i
+    return degrees[cut + 1:] + degrees[:cut + 1]
+
+
+def test_uniform_degree_word_cuts_where_the_loop_does():
+    # every (n - 1)-subset of the 2n - 2 slots, so every word of n degrees
+    # summing to n - 1, for n up to 9
+    for n in range(1, 10):
+        for slots in itertools.combinations(range(2 * n - 2), n - 1):
+            degrees = [0] * n
+            for j, pos in enumerate(slots):
+                degrees[pos - j] += 1
+            word = sampling._uniform_degree_word(n, _ChosenSlots(slots))
+            assert word == _rotate_by_loop(degrees), degrees
 
 
 @given(st.integers(min_value=1, max_value=300), st.integers(min_value=0, max_value=10 ** 9))

@@ -101,6 +101,10 @@ def test_forest_mode():
     assert t.size == 4
     assert t.label(1) == trees.FOREST_ROOT_LABEL
     assert t.to_term() == "a || b.c"
+    # the forest root writes no head and no tail: its components are
+    # joined by bars alone, around groups and chains of their own
+    text = "a.(b || c) || d.e.f || g.(h.(i || j) || k) || l"
+    assert trees.parse_process(text, allow_forest=True).to_term() == text
     # single term stays unwrapped even in forest mode
     assert trees.parse_process("a.b", allow_forest=True).size == 2
 
