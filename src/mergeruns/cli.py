@@ -7,8 +7,9 @@ sequences, and a selftest of two checks (the reference-term anchors and a
 chi-square test of run sampling).  Output is deterministic byte for byte
 given the same arguments and seeds; all diagnostics go to stderr.
 
-Exit codes: 0 ok, 1 usage or parse problem, 2 size budget exceeded,
-3 a self-check failed (selftest, or count's residue check).
+Exit codes: 0 ok, 1 usage or parse problem, or stdout closed early (with
+nothing on stderr), 2 size budget exceeded, 3 a self-check failed
+(selftest, or count's residue check).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from collections import Counter
 from decimal import Decimal
@@ -558,6 +560,8 @@ def run_cli(argv) -> int:
     except trees.BudgetError as exc:
         print(f"mergeruns: budget exceeded: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:             # main's to handle
+        raise
     except (OSError, ValueError) as exc:  # ParseError is a ValueError
         print(f"mergeruns: error: {exc}", file=sys.stderr)
         return 1
@@ -567,7 +571,14 @@ def run_cli(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run_cli(sys.argv[1:]))
+    try:
+        code = run_cli(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early: the flush at exit writes to devnull instead
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

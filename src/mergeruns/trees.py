@@ -65,24 +65,16 @@ class SyntaxTree:
             raise ValueError("labels and parents must have equal length")
         if parents[0] != 0:
             raise ValueError("the root (id 1) must have parent 0")
-        # ids are a preorder numbering exactly when each node's parent lies
-        # on the path from the root to the node just before it; a parent off
-        # that path empties it (IndexError)
-        path = [1]
-        try:
-            for v in range(2, n + 1):
-                p = parents[v - 1]
-                while path[-1] != p:
-                    path.pop()
-                path.append(v)
-        except IndexError:
-            for v in range(2, n + 1):
-                if not 1 <= parents[v - 1] < v:
-                    raise ValueError(f"parent of node {v} must be an earlier node id") from None
-            raise ValueError("node ids are not in prefix-traversal order") from None
+        for v in range(2, n + 1):
+            if not 1 <= parents[v - 1] < v:
+                raise ValueError(f"parent of node {v} must be an earlier node id")
         self._labels = labels
         self._parents = parents
         self._sizes = None
+        # each parent comes first, so the degree word is valid; its decoder
+        # numbers in preorder, so the ids do exactly when it gives these back
+        if self.from_degree_word(self.degree_word(), labels)._parents != parents:
+            raise ValueError("node ids are not in prefix-traversal order")
 
     # -- construction -----------------------------------------------------
 
@@ -91,8 +83,8 @@ class SyntaxTree:
         """The tree of arrays its builder has already numbered in preorder.
 
         For parse_process and from_degree_word, which place each node under
-        a node on the path from the root to the node before it, so the
-        arrays hold the invariant __init__ would walk them to check.
+        a node on the path from the root to the node before it: arrays that
+        __init__ accepts, as from_degree_word decodes their degree word back.
         The caller passes labels as a tuple of the same length as parents.
         """
         tree = object.__new__(cls)
@@ -226,7 +218,7 @@ def _write_nested(degrees: Sequence[int], labels: Sequence[str], as_json: bool =
     """
     if as_json:
         heads = repeat('{"children": [')
-        tails = [f'], "label": {_json_string(label)}}}' for label in labels]
+        tails = (f'], "label": {_json_string(label)}}}' for label in labels)
         sep, one, several = ", ", "", ""
     else:
         heads, tails = labels, repeat(")")

@@ -859,16 +859,39 @@ print(json.dumps(loaded))
 """
 
 
+def _fresh_env() -> dict:
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+
+
 def _fresh_python(script: str, *args: str, flags=()):
     """What a fresh interpreter, started with the interpreter options flags,
     running script with args prints, as JSON."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
     proc = subprocess.run([sys.executable, *flags, "-c", script, *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=_fresh_env())
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False])
+def test_closed_stdout_exits_1_quietly(unbuffered):
+    # a reader that stops early: seq's 2.7 MB overflow the pipe after one
+    # byte is read, and count's line, buffered or not, meets a pipe closed
+    # before it is written; either way exit 1 with nothing on stderr
+    env = _fresh_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    for argv, read in ((["seq", "catalan", "--to", "3000"], 1), (["count", "a.b"], 0)):
+        proc = subprocess.Popen([sys.executable, "-m", "mergeruns", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert len(proc.stdout.read(read)) == read
+        proc.stdout.close()
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert (proc.wait(), err) == (1, b""), argv
 
 
 def test_cli_import_leaves_numpy_out():
