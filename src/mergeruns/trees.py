@@ -17,8 +17,9 @@ in parse_process.
 
 from __future__ import annotations
 
+import operator
 import re
-from itertools import chain, count, islice, product, repeat
+from itertools import accumulate, chain, count, islice, product, repeat
 from json.encoder import encode_basestring_ascii as _json_string
 from typing import Sequence
 
@@ -97,38 +98,40 @@ class SyntaxTree:
     def from_degree_word(cls, degrees: Sequence[int], labels: Sequence[str] | None = None) -> "SyntaxTree":
         """Build the tree whose prefix-traversal node degrees are ``degrees``.
 
-        Raises ValueError naming the first offending position if the word is
-        not a valid Lukasiewicz degree word.
+        Raises TypeError if a degree is not an int, and ValueError naming the
+        first offending position if the word is not a valid Lukasiewicz
+        degree word.
         """
-        degrees = list(degrees)
+        degrees = list(map(operator.index, degrees))
         n = len(degrees)
         if n == 0:
             raise ValueError("empty degree word")
         parents = []
-        # one entry per open child slot, holding the slot's parent; the next
-        # node fills the newest slot, and the root fills the one of parent 0
-        slots = [0]
+        # the open nodes, innermost last, and how many child slots of each
+        # are still empty; the root fills the one slot of parent 0.  Slots
+        # are counted, not stored, so a huge degree costs no memory
+        nodes = [0]
+        empty = [1]
         for v, d in enumerate(degrees, start=1):
             if d < 0:
                 raise ValueError(f"negative degree at position {v}")
-            if not slots:
+            if not nodes:
                 raise ValueError(f"degree word closes early at position {v}")
-            parents.append(slots.pop())
-            if len(slots) + d > n - v:
-                break
-            slots += [v] * d
-        else:
-            labels = tuple(default_labels(n) if labels is None else labels)
-            if len(labels) != n:
-                raise ValueError("labels and parents must have equal length")
-            return cls._from_preorder(labels, parents)
-        # more open slots than nodes left: no later node closes the word, so
-        # the fault is a later negative degree or else the slots left open
-        # (never stored, so a huge degree costs no memory)
-        for w in range(v + 1, n + 1):
-            if degrees[w - 1] < 0:
-                raise ValueError(f"negative degree at position {w}")
-        raise ValueError(f"degree word leaves {sum(degrees) - n + 1} unfilled child slots at position {n}")
+            parents.append(nodes[-1])
+            if empty[-1] == 1:
+                nodes.pop()
+                empty.pop()
+            else:
+                empty[-1] -= 1
+            if d:
+                nodes.append(v)
+                empty.append(d)
+        if nodes:
+            raise ValueError(f"degree word leaves {sum(empty)} unfilled child slots at position {n}")
+        labels = tuple(default_labels(n) if labels is None else labels)
+        if len(labels) != n:
+            raise ValueError("labels and parents must have equal length")
+        return cls._from_preorder(labels, parents)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -441,12 +444,7 @@ def degree_sequence_of_tree(t: SyntaxTree) -> tuple[int, ...]:
     Equals the node degrees read along the leftmost branch of the semantic
     tree, without building it.  The single node yields the degenerate (0,).
     """
-    u = []
-    acc = 0
-    for p, d in enumerate(t.degree_word()):
-        acc += d
-        u.append(acc - p)
-    return tuple(u)
+    return tuple([s - p for p, s in enumerate(accumulate(t.degree_word()))])
 
 
 def tree_from_degree_sequence(u: Sequence[int], labels: Sequence[str] | None = None) -> SyntaxTree:

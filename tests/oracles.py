@@ -491,6 +491,23 @@ def degree_word(shape) -> tuple:
     return tuple(out)
 
 
+def degree_word_fault(word):
+    """The message the degree-word decoder gives for word, or None when
+    word is a degree word, from a running count of the empty child slots."""
+    if not word:
+        return "empty degree word"
+    empty = 1       # the slot the root fills
+    for v, d in enumerate(word, start=1):
+        if d < 0:
+            return f"negative degree at position {v}"
+        if empty == 0:
+            return f"degree word closes early at position {v}"
+        empty += d - 1
+    if empty:
+        return f"degree word leaves {empty} unfilled child slots at position {len(word)}"
+    return None
+
+
 # -- the flat-array sampler and the direct log-constant sum ------------------
 #
 # naive_sample is the reference the partial-sum tree is compared with; it

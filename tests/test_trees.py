@@ -458,23 +458,33 @@ def test_degree_word_errors(word, position):
 
 @pytest.mark.parametrize("word,open_slots", [((3, 1, 0), 2), ((1, 10 ** 12, 0), 10 ** 12 - 1)])
 def test_degree_word_counts_unfilled_slots(word, open_slots):
-    # slots past the nodes left are counted, not stored: a huge degree
-    # costs no memory
+    # each open node's empty slots are one count, never a slot each: a
+    # huge degree costs no memory
     with pytest.raises(ValueError, match=f"^degree word leaves {open_slots} unfilled child slots at position 3$"):
         trees.SyntaxTree.from_degree_word(word)
+
+
+def test_degree_word_holds_ints():
+    # a degree that is not an int is refused before any position is
+    # checked, so also past a fault or open slots; a bool is an int
+    for word in [(1.0, 0), (0.0,), (-1, 0.5), (10 ** 12, 0.5)]:
+        with pytest.raises(TypeError):
+            trees.SyntaxTree.from_degree_word(word)
+    assert trees.SyntaxTree.from_degree_word((True, False)).to_term() == "a.b"
 
 
 def test_decoders_accept_exactly_the_oracle_shapes():
     # every word of length n <= 6 over the degrees -1..n: the decoder takes
     # exactly the oracle's degree words, to the oracle's preorder parents,
-    # and the degree-sequence inverse exactly the u sequences of those words
-    # (u_p = first p degrees summed, minus p - 1)
+    # and rejects every other word with the message of the oracle's running
+    # count of empty slots; the degree-sequence inverse takes exactly the u
+    # sequences of those words (u_p = first p degrees summed, minus p - 1)
     def parents(t):
         return tuple(t.parent(v) for v in range(1, t.size + 1))
 
     decode_word, decode_u = trees.SyntaxTree.from_degree_word, trees.tree_from_degree_sequence
 
-    for n in range(1, 7):
+    for n in range(7):
         expected, expected_u = {}, {}
         for shape in oracles.all_shapes(n):
             word = oracles.degree_word(shape)
@@ -488,8 +498,9 @@ def test_decoders_accept_exactly_the_oracle_shapes():
             try:
                 t = decode_word(seq)
                 got[seq] = (t.labels, parents(t))
-            except ValueError:
-                pass
+                assert oracles.degree_word_fault(seq) is None, seq
+            except ValueError as e:
+                assert str(e) == oracles.degree_word_fault(seq), seq
             try:
                 t = decode_u(seq)
                 got_u[seq] = (t.labels, parents(t))
@@ -497,6 +508,18 @@ def test_decoders_accept_exactly_the_oracle_shapes():
                 pass
         assert got == expected, n
         assert got_u == expected_u, n
+
+
+def test_wide_and_deep_words_round_trip():
+    # a star and a chain of 10^5 nodes come back through the degree word,
+    # the branch encoding and the validating constructor
+    n = 10 ** 5
+    for word in ((n - 1,) + (0,) * (n - 1), (1,) * (n - 1) + (0,)):
+        t = trees.SyntaxTree.from_degree_word(word)
+        assert t.degree_word() == word
+        assert trees.SyntaxTree.from_degree_word(t.degree_word(), t.labels) == t
+        assert trees.tree_from_degree_sequence(trees.degree_sequence_of_tree(t), t.labels) == t
+        assert trees.SyntaxTree(t.labels, [t.parent(v) for v in range(1, n + 1)]) == t
 
 
 def test_degree_sequence_round_trip_small():
