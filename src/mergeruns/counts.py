@@ -81,34 +81,45 @@ def increasing_count(n: int) -> int:
     return math.factorial(2 * n - 2) // (2 ** (n - 1) * math.factorial(n - 1))
 
 
-def _ratio(factors: Sequence[int], top: int, bottom: int) -> tuple[int, int]:
-    """(top! / bottom!) / prod(factors) in lowest terms, as (num, den).
-
-    Every factor is at least 1 and 0 <= bottom <= top; the primes run up to
-    the largest of top and the factors.  Legendre's prime-exponent ledger
-    (Borwein 1985): tally the factors once, read each prime's net exponent
-    as the sum over k of floor(top / p^k) - floor(bottom / p^k) less the
-    tally at the multiples of p^k, and build each side as a product of
-    prime powers.  A prime lands on one side only, so the pair is coprime
-    without a gcd, and no big integer is ever divided.
-    """
-    limit = max(top, max(factors, default=0))
-    tally = [0] * (limit + 1)
-    for f in factors:
-        tally[f] += 1
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[:2] = b"\0\0"
+def _primes(limit: int) -> list[int]:
+    """The primes up to limit, ascending: a bytearray sieve of Eratosthenes."""
+    sieve = bytearray(2) + b"\1" * (limit - 1)  # 0 and 1 are not prime
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p::p] = bytes(len(range(p * p, limit + 1, p)))
-    primes = list(compress(range(limit + 1), sieve))
-    exponents = []
+    return list(compress(range(limit + 1), sieve))
+
+
+def _prime_sums(coef: Sequence, primes: list[int]) -> list:
+    """For each prime p, the sum of sum(coef[q::q]) over the powers q of p up
+    to len(coef) - 1.  With the primes up to there, sum coef[m] ln m over
+    m >= 1 is sum out_p ln p: m holds p once per power of p dividing it."""
+    top, out = len(coef) - 1, []
     for p in primes:
-        e, q = 0, p
-        while q <= limit:
-            e += top // q - bottom // q - sum(tally[q::q])
+        s, q = 0, p
+        while q <= top:
+            s += sum(coef[q::q])
             q *= p
-        exponents.append(e)
+        out.append(s)
+    return out
+
+
+def _ratio(factors: Sequence[int], top: int, bottom: int) -> tuple[int, int]:
+    """(top! / bottom!) / prod(factors) in lowest terms, as (num, den).
+
+    Every factor is at least 1 and 0 <= bottom <= top.  Legendre's ledger
+    (Borwein 1985): _prime_sums reads each prime's net exponent off one
+    tally, +1 at each m in bottom+1..top and -1 per factor, and each side is
+    a product of prime powers.  A prime lands on one side only, so the pair
+    is coprime without a gcd, and no big integer is ever divided.
+    """
+    limit = max(top, max(factors, default=0))
+    tally = [0] * (limit + 1)
+    tally[bottom + 1:top + 1] = [1] * (top - bottom)
+    for f in factors:
+        tally[f] -= 1
+    primes = _primes(limit)
+    exponents = _prime_sums(tally, primes)
     num = _prime_power_product(primes, exponents)
     if min(exponents, default=0) >= 0:
         return num, 1
@@ -298,62 +309,46 @@ def geometric_mean_width(n: int, precision: int = 80) -> Decimal:
     return _context(d).exp(Decimal(f"{exponent}e-{d}"))
 
 
-def _smallest_prime_factors(limit: int) -> list[int]:
-    """The least prime factor of each m in 2..limit, at index m (m itself
-    for a prime).  Each p from sqrt(limit) down to 2 writes itself over its
-    multiples from p^2 on, so the smallest divisor of m writes last."""
-    spf = list(range(limit + 1))
-    for p in range(math.isqrt(limit), 1, -1):
-        spf[p * p::p] = [p] * len(range(p * p, limit + 1, p))
-    return spf
-
-
 def log_constant_L(target_abs_error: float = 1e-6) -> Approx:
     """The run-count log-scale constant: sum over n >= 2 of ln(n) C_n 4^(-n).
 
-    Returns a certified enclosure midpoint.  The head up to a cutoff N is
-    summed with the term ratio recurrence, ln n read off a smallest prime
-    factor table as ln p + ln(n / p).  The tail is bracketed in closed form:
-    with m = x - 1, C_x 4^(-x) = binom(2m, m) 4^(-m) / (4x), and the central
-    binomial bounds 1/sqrt(pi (m + 1/3)) < binom(2m, m) 4^(-m) <=
-    1/sqrt(pi (m + 1/4)) put each tail term between ln x / (4x sqrt(pi
-    (x - 2/3))) and ln x / (4x sqrt(pi (x - 3/4))).  Below, sqrt(x - 2/3) <
-    sqrt(x); above, sqrt(x - 3/4) >= sqrt(x) (1 - 3/(4N))^(1/2) for x >= N.
-    Both resulting bounds decrease, so the tail lies between their
-    integrals from N + 1 and from N, and
-    integral from a to inf of ln x x^(-3/2) dx = 2 a^(-1/2) (ln a + 2)
-    gives (ln(N + 1) + 2) / (2 sqrt(pi (N + 1))) below and
-    (ln N + 2) / (2 sqrt(pi (N - 3/4))) above.
+    Returns a certified enclosure midpoint.  The head up to a cutoff N takes
+    g_n = C_n 4^(-n) from the term ratio recurrence and reads sum g_n ln n
+    as sum ln p _prime_sums(g)[p], so only primes take a ln.  The tail is
+    bracketed in closed form: with m = x - 1, C_x 4^(-x) = binom(2m, m)
+    4^(-m) / (4x), and the central binomial bounds 1/sqrt(pi (m + 1/3)) <
+    binom(2m, m) 4^(-m) <= 1/sqrt(pi (m + 1/4)) put each tail term between
+    ln x / (4x sqrt(pi (x - 2/3))) and ln x / (4x sqrt(pi (x - 3/4))).
+    Below, sqrt(x - 2/3) < sqrt(x); above, sqrt(x - 3/4) >= sqrt(x)
+    (1 - 3/(4N))^(1/2) for x >= N.  Both bounds decrease, so the tail lies
+    between their integrals from N + 1 and from N, and integral from a to
+    inf of ln x x^(-3/2) dx = 2 a^(-1/2) (ln a + 2) gives (ln(N + 1) + 2)
+    / (2 sqrt(pi (N + 1))) below and (ln N + 2) / (2 sqrt(pi (N - 3/4))) above.
 
     The cutoffs are 10^4, 4 10^4 and 1.6 10^5, where the half-width is
     1.2e-6, 1.8e-7 and 2.5e-8; the first that meets the target is used.
-    Every decimal step rounds by a relative u = 10^(1 - prec) / 2 at most:
-    a head term carries fewer than 2n + 20 such roundings and the running
-    sum one per step, on values below 0.6, so the half-width adds 4 N u
-    for them and for the tails' few.
+    Each decimal step rounds by a relative u = 10^(1 - prec) / 2 at most.
+    Every value summed is positive, and a product g_m ln p in the head meets
+    under 3N roundings: 2N in g_m, N/2 in a slice sum, log2 N over the
+    powers, ln p, the product, and pi(N) < N/8 across the primes.  So the
+    head, below 0.6, is off by under 1.8 N u; with the tails' and midpoint's
+    few roundings on values below 0.6, the half-width adds 4 N u.
     """
-    if target_abs_error < 1e-7:
+    if not target_abs_error >= 1e-7:
         raise ValueError("target_abs_error below 1e-7 is not supported")
     with localcontext(_context(_DIGITS)):
-        head, g = Decimal(0), Decimal("0.0625")  # g: the n = 2 weight C_2 4^(-2)
-        logs = [Decimal(0)] * 2  # ln n at index n
-        n = 2
         for cutoff in (10_000, 40_000, 160_000):
-            spf = _smallest_prime_factors(cutoff)
-            while n <= cutoff:
-                p = spf[n]
-                logs.append(Decimal(n).ln() if p == n else logs[p] + logs[n // p])
-                head += logs[n] * g
-                g = g * (2 * n - 1) / (2 * n + 2)
-                n += 1
             tail_lo = (Decimal(cutoff + 1).ln() + 2) / (2 * (_PI * (cutoff + 1)).sqrt())
-            tail_hi = (logs[cutoff] + 2) / (2 * (_PI * (cutoff - Decimal("0.75"))).sqrt())
-            mid = head + (tail_lo + tail_hi) / 2
+            tail_hi = (Decimal(cutoff).ln() + 2) / (2 * (_PI * (cutoff - Decimal("0.75"))).sqrt())
             half = (tail_hi - tail_lo) / 2 + Decimal(2 * cutoff).scaleb(1 - _DIGITS)
             if half <= target_abs_error:
-                return Approx(mid, half, certified=True)
-    raise ArithmeticError(
-        f"enclosure width {float(half):.3g} misses target {target_abs_error:.3g}")
+                break
+        g = [Decimal(0), Decimal(0), Decimal("0.0625")]  # C_n 4^(-n) at index n
+        for n in range(2, cutoff):
+            g.append(g[n] * (2 * n - 1) / (2 * n + 2))
+        primes = _primes(cutoff)
+        head = sum(Decimal(p).ln() * s for p, s in zip(primes, _prime_sums(g, primes)))
+        return Approx(head + (tail_lo + tail_hi) / 2, half, certified=True)
 
 
 def nonplane_count(n: int) -> int:

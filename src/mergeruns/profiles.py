@@ -292,16 +292,19 @@ def semantic_expansion(t: trees.SyntaxTree) -> tuple[array, array]:
     return parents, actions
 
 
+def _check_limit_point(c: float, n: int) -> None:
+    """Refuse a point outside the limit profile's domain, NaN included."""
+    if n < 4 or not 2.0 / n <= c <= 1.0 - 2.0 / n:
+        raise ValueError("the limit profile needs n >= 4 and c in [2/n, 1 - 2/n]")
+
+
 def limit_profile(c: float, n: int) -> float:
     """Large-n approximation of ln(profile) at relative depth c.
 
     Valid for c in [2/n, 1 - 2/n].  The absolute error in the log decays
     like 1/n; see limit_profile_error_bound for the calibrated constant.
     """
-    if n < 4:
-        raise ValueError("n must be at least 4")
-    if not 2.0 / n <= c <= 1.0 - 2.0 / n:
-        raise ValueError("c must lie in [2/n, 1 - 2/n]")
+    _check_limit_point(c, n)
     lin = (c - 1 + math.log((2 - 2 * c) ** (1 - c) / (c ** c * (2 - c) ** (2 - c))))
     return ((1 - c) * n * math.log(n) + lin * n
             + math.log(math.sqrt(4 - 2 * c) / math.sqrt(c)))
@@ -319,7 +322,8 @@ def limit_profile_error_bound(c: float, n: int) -> float:
     LIMIT_PROFILE_ERROR_FACTOR is calibrated, not proven: it is the worst
     error measured on the grid c in {0.1, .., 0.9}, n in {20, 50, 100, 200,
     400}, with a margin, so the bound holds on that grid and is only
-    expected to hold elsewhere.
+    expected to hold elsewhere.  It refuses the points limit_profile does.
     """
+    _check_limit_point(c, n)
     return LIMIT_PROFILE_ERROR_FACTOR / (c * (1.0 - c) * n)
 

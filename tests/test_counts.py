@@ -4,6 +4,7 @@ import math
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import takewhile
 
 import mpmath as mp
 import pytest
@@ -109,6 +110,33 @@ def test_ratio_edge_multisets():
     assert counts._ratio([5, 6], 6, 4) == (1, 1)
     assert counts._ratio([], 10, 10) == (1, 1)
     assert counts._ratio([], 5, 0) == (120, 1)
+
+
+def _trial_division_primes(limit):
+    primes = []
+    for m in range(2, limit + 1):
+        if all(m % p for p in takewhile(lambda p: p * p <= m, primes)):
+            primes.append(m)
+    return primes
+
+
+def test_primes_match_trial_division():
+    small = _trial_division_primes(300)
+    for limit in range(301):
+        assert counts._primes(limit) == [p for p in small if p <= limit], limit
+    assert counts._primes(10 ** 5) == _trial_division_primes(10 ** 5)
+
+
+def test_prime_sums_read_a_product_through_its_primes():
+    # sum coef[m] ln m = sum out_p ln p, read exactly as a product of powers
+    rnd = random.Random(43)
+    for _ in range(200):
+        coef = [0] + [rnd.randint(-3, 3) for _ in range(rnd.randint(0, 299))]
+        primes = counts._primes(len(coef) - 1)
+        out = counts._prime_sums(coef, primes)
+        assert len(out) == len(primes)
+        assert math.prod(Fraction(m) ** e for m, e in enumerate(coef) if m) == \
+            math.prod(Fraction(p) ** e for p, e in zip(primes, out)), coef
 
 
 def test_hook_count_matches_residue_oracle():
@@ -372,6 +400,14 @@ def test_log_constant_tightest_target():
 def test_log_constant_unreachable_target():
     with pytest.raises(ValueError):
         counts.log_constant_L(1e-9)
+    with pytest.raises(ValueError):  # NaN passes a < comparison
+        counts.log_constant_L(float("nan"))
+
+
+def test_log_constant_takes_the_first_cutoff_that_meets_the_target():
+    # the half-widths at 10^4 and 4 10^4 terms are 1.2e-6 and 1.8e-7
+    assert 1e-6 < counts.log_constant_L(2e-6).abs_error <= 2e-6
+    assert 1e-7 < counts.log_constant_L(1e-6).abs_error <= 1e-6
 
 
 def test_log_constant_partial_sums():

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import time
 
 import mpmath as mp
@@ -347,6 +348,12 @@ def test_limit_profile_domain():
         profiles.limit_profile(0.999, 100)
     profiles.limit_profile(2 / 100, 100)
     profiles.limit_profile(1 - 2 / 100, 100)
+    # the error bound refuses the same points, with the same error
+    for c, n in [(0.5, 3), (1.5, 10), (0.0, 10), (1.0, 10), (math.nan, 10)]:
+        with pytest.raises(ValueError) as refused:
+            profiles.limit_profile(c, n)
+        with pytest.raises(ValueError, match=re.escape(str(refused.value))):
+            profiles.limit_profile_error_bound(c, n)
 
 
 def test_limit_profile_decreasing_in_c():
