@@ -191,8 +191,8 @@ def _parse_term(args) -> trees.SyntaxTree:
 
 
 def _resolve_action(t: trees.SyntaxTree, label_ids: dict, token: str) -> int:
-    """label, label#id or #id -> node id.  The whole token is tried as a
-    label first: parsed labels hold no '#', so only the forest root's does."""
+    """label, label#id or #id -> node id.  The whole token is tried as a label
+    first: whatever built the tree, no label holds '#' but a forest root's."""
     token = token.strip()
     ids = label_ids.get(token)
     if ids is None and "#" in token:
@@ -318,7 +318,7 @@ def _cmd_sample(args) -> int:
     tokens = [""] + [f"{label}#{v}" for v, label in enumerate(t.labels, start=1)]
     if args.format == "json":
         sizes = t.subtree_sizes()
-        quoted = [json.dumps(tok) for tok in tokens]  # each token's JSON string, made once
+        quoted = [f'"{tok}"' for tok in tokens]  # each token's JSON string, made once
 
         def record(run) -> str:  # json.dumps(..., sort_keys=True) of the run's record
             steps = []
@@ -331,7 +331,7 @@ def _cmd_sample(args) -> int:
         head = "{"
         if args.freq:  # "frequency" sorts before "runs": its tally takes a pass of its own
             freq = Counter(" ".join([tokens[v] for v in run]) for run in draws())
-            head += f'"frequency": {json.dumps(freq, sort_keys=True)}, '
+            head += '"frequency": {' + ", ".join([f'"{k}": {freq[k]}' for k in sorted(freq)]) + "}, "
         _print_items(head + '"runs": [', map(record, draws()), f'], "seed": {args.seed}}}')
         return 0
     # each run is printed as it is drawn; only the --freq tally is kept
@@ -392,7 +392,7 @@ def _cmd_semantic(args) -> int:
     if args.format == "json":
         # the text json.dumps(..., sort_keys=True) writes of the document
         # {"nodes", "branches", "levels", "labels", "parents"}
-        quoted = [""] + [json.dumps(label) for label in t.labels]  # by syntax id
+        quoted = [""] + [f'"{label}"' for label in t.labels]  # by syntax id
         write(f'{{"branches": {levels[-1]}, "labels": [')
         _write_json_items(write, actions, quoted.__getitem__)
         write(f'], "levels": {json.dumps(list(levels))}, "nodes": {len(parents)}, "parents": [')

@@ -140,20 +140,17 @@ class PartialSumTree:
         return self.below[0] if self.below else 0
 
     def update(self, key, weight: int) -> int:
-        """Set an entry's weight; returns how many slots were touched."""
+        """Set an entry's weight; returns how many slots it touched, its root path's."""
         if weight < 0:
             raise ValueError(f"negative weight for {key!r}")
         slot = self.slot_of[key]
         delta = weight - self.weights[slot]
         self.weights[slot] = weight
-        touched = 1
-        i = slot
-        self.below[i] += delta
+        i = slot + 1                # slot i - 1, whose parent is slot (i >> 1) - 1
         while i:
-            i = (i - 1) >> 1
-            self.below[i] += delta
-            touched += 1
-        return touched
+            self.below[i - 1] += delta
+            i >>= 1
+        return (slot + 1).bit_length()
 
     def sample(self, rng: Rng):
         """Draw a key with probability weight / total_weight."""

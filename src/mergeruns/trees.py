@@ -20,7 +20,6 @@ from __future__ import annotations
 import operator
 import re
 from itertools import accumulate, chain, count, islice, product, repeat
-from json.encoder import encode_basestring_ascii as _json_string
 from typing import Sequence
 
 FOREST_ROOT_LABEL = "#root"
@@ -84,9 +83,9 @@ class SyntaxTree:
         """The tree of arrays its builder has already numbered in preorder.
 
         For parse_process and from_degree_word, which place each node under
-        a node on the path from the root to the node before it: arrays that
-        __init__ accepts, as from_degree_word decodes their degree word back.
-        The caller passes labels as a tuple of the same length as parents.
+        a node on the path from the root to the node before it (arrays that
+        __init__ accepts) and pass labels as a tuple as long as parents, each
+        an action name: whatever built the tree, no label holds '#' but a forest root's.
         """
         tree = object.__new__(cls)
         tree._labels = labels
@@ -99,8 +98,8 @@ class SyntaxTree:
         """Build the tree whose prefix-traversal node degrees are ``degrees``.
 
         Raises TypeError if a degree is not an int, and ValueError naming the
-        first offending position if the word is not a valid Lukasiewicz
-        degree word.
+        first offending position of an invalid Lukasiewicz degree word, or
+        the first label that is not an action name (bar a forest root's).
         """
         degrees = list(map(operator.index, degrees))
         n = len(degrees)
@@ -131,6 +130,10 @@ class SyntaxTree:
         labels = tuple(default_labels(n) if labels is None else labels)
         if len(labels) != n:
             raise ValueError("labels and parents must have equal length")
+        named = labels[1:] if labels[0] == FOREST_ROOT_LABEL else labels
+        if not (all(map(str.isidentifier, named)) and "".join(named).isascii()):
+            bad = next(x for x in named if not (x.isidentifier() and x.isascii()))
+            raise ValueError(f"label {bad!r} is not an action name, [A-Za-z_][A-Za-z0-9_]*")
         return cls._from_preorder(labels, parents)
 
     # -- basic accessors ---------------------------------------------------
@@ -221,7 +224,7 @@ def _write_nested(degrees: Sequence[int], labels: Sequence[str], as_json: bool =
     """
     if as_json:
         heads = repeat('{"children": [')
-        tails = (f'], "label": {_json_string(label)}}}' for label in labels)
+        tails = (f'], "label": "{label}"}}' for label in labels)
         sep, one, several = ", ", "", ""
     else:
         heads, tails = labels, repeat(")")

@@ -508,6 +508,39 @@ def degree_word_fault(word):
     return None
 
 
+# -- (shape, run) pairs grown as plane recursive trees ------------------------
+
+def grow(choices) -> tuple:
+    """The plane recursive tree of a choice sequence: node 1 is the root,
+    and node k attaches at gap choices[k - 2] of the 2k - 3 gaps of the
+    tree of nodes 1..k-1.  Those gaps are counted node by node in attach
+    order, deg(u) + 1 per node u: gap j of u, 0 <= j <= deg(u), makes node
+    k the child of u at index j, before the children that followed.
+
+    A run of a shape is an increasing labelling of it, so the (2n - 3)!!
+    choice sequences of n nodes give every (shape, run) pair once, with no
+    weights.  Returns the preorder degree word and the attach order as
+    preorder ids, which is the run.
+    """
+    kids = [[]]                     # children of each node, by attach order from 0
+    for k, c in enumerate(choices, start=2):
+        if not 0 <= c < 2 * k - 3:
+            raise ValueError(f"node {k} has no gap {c}")
+        for ch in kids:
+            if c <= len(ch):
+                ch.insert(c, k - 1)
+                break
+            c -= len(ch) + 1
+        kids.append([])
+    word, preorder_id, stack = [], [0] * len(kids), [0]
+    while stack:
+        u = stack.pop()
+        word.append(len(kids[u]))
+        preorder_id[u] = len(word)
+        stack.extend(reversed(kids[u]))
+    return tuple(word), tuple(preorder_id)
+
+
 # -- the flat-array sampler and the direct log-constant sum ------------------
 #
 # naive_sample is the reference the partial-sum tree is compared with; it

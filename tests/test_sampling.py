@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -219,6 +220,18 @@ def test_pst_touched_is_logarithmic():
     assert bound == 11
     for i in (0, 1, 511, 512, 1023):
         assert pst.update(i, 2) <= bound
+
+
+def test_pst_update_touches_its_root_path():
+    # the slots from the updated one up through each parent (i - 1) // 2
+    pst = sampling.PartialSumTree([(i, 1) for i in range(1000)])
+    for slot in range(1000):
+        path, i = 1, slot
+        while i:
+            i = (i - 1) // 2
+            path += 1
+        assert pst.update(slot, 2) == path
+    assert pst.audit() and pst.total_weight == 2000
 
 
 def test_pst_audit_catches_corruption():
@@ -535,6 +548,48 @@ def test_sample_run_holds_the_heap_and_the_run_only():
         tracemalloc.stop()
     assert sorted(run) == list(range(1, n + 1))
     assert peak < 100 * n, peak / n
+
+
+# -- (shape, run) pairs grown with no weights: hook_count and sample_run -------------
+
+CHI2_Q999_DF39 = 72.05              # the chi-squared 0.999 quantile at 39 degrees of freedom
+
+
+def test_growth_gives_each_shape_hook_count_runs():
+    # the (2n - 3)!! choice sequences of n nodes grow each plane recursive
+    # tree once, that is each (shape, run) pair once: so every shape of n
+    # nodes comes hook_count times, counted by a route with no hook formula
+    for n in range(1, 8):
+        gaps = [range(2 * k - 3) for k in range(2, n + 1)]
+        pairs = [oracles.grow(choices) for choices in itertools.product(*gaps)]
+        assert len(set(pairs)) == len(pairs) == math.prod(map(len, gaps))
+        shapes = Counter(word for word, _ in pairs)
+        assert set(shapes) == set(map(oracles.degree_word, oracles.all_shapes(n)))
+        assert len(shapes) == counts.catalan(n)
+        for word, runs in shapes.items():
+            assert runs == counts.hook_count(trees.SyntaxTree.from_degree_word(word))
+        for word, run in pairs:
+            t = trees.SyntaxTree.from_degree_word(word)
+            assert len(trees.validate_run_prefix(t, run)) == n
+
+
+def test_sample_run_draws_as_growth_does():
+    # growth kept when it lands on a shape gives every run of that shape
+    # alike, with no weights and no heap (9!! = 945 grows of 6 nodes, 40 of
+    # them on this shape): a two-sample chi-square against sample_run
+    t = trees.parse_process("a.(b || c || d.(e || f))")
+    word = t.degree_word()
+    rnd = random.Random(44)
+    grown = Counter()
+    while grown.total() < 4000:
+        got, run = oracles.grow([rnd.randrange(2 * k - 3) for k in range(2, t.size + 1)])
+        if got == word:
+            grown[run] += 1
+    rng = sampling.Rng(44)
+    drawn = Counter(sampling.sample_run(t, rng) for _ in range(4000))
+    assert len(grown) == len(drawn) == counts.hook_count(t) == 40
+    stat = sum((grown[r] - drawn[r]) ** 2 / (grown[r] + drawn[r]) for r in grown.keys() | drawn.keys())
+    assert stat < CHI2_Q999_DF39, stat
 
 
 # -- uniform shape sampling ----------------------------------------------------------

@@ -411,6 +411,75 @@ def test_forest_root_writers(shape, term):
     assert t.to_json() == json.dumps(oracles.nested_record(shape, labels), sort_keys=True)
 
 
+# -- the label rule: every label is an action name, bar a forest root's ---------
+
+_NAMES = ["a", "Z", "_", "x1", "a_b", "_9", "if"]
+_NOT_NAMES = ["a b", 'c"d', "", "1x", "é", "a\n", trees.FOREST_ROOT_LABEL]
+
+
+def _dot_text(shape, labels) -> str:
+    """The Graphviz text of a shape, its nodes numbered in preorder."""
+    nodes = oracles.preorder_labelled(shape, labels)
+    return ("digraph syntax_tree {\n"
+            + "".join(f'  n{v} [label="{nodes[v][0]}"];\n' for v in nodes)
+            + "".join(f"  n{nodes[v][1]} -> n{v};\n" for v in nodes if nodes[v][1])
+            + "}")
+
+
+def test_writers_write_action_names_as_they_are():
+    # every shape of up to 7 nodes under labels drawn from the grammar's
+    # corner cases (a keyword too): the term parses back to the tree, the
+    # record is json.dumps' and the digraph names each node's label; the
+    # forest form of a root over two or more trees parses back in forest mode
+    rnd = random.Random(44)
+    forests = 0
+    for n in range(1, 8):
+        for shape in oracles.all_shapes(n):
+            labels = [rnd.choice(_NAMES) for _ in range(n)]
+            t = trees.SyntaxTree.from_degree_word(oracles.degree_word(shape), labels)
+            assert trees.parse_process(t.to_term()) == t
+            assert t.to_json() == json.dumps(oracles.nested_record(shape, labels), sort_keys=True)
+            assert t.to_dot() == _dot_text(shape, labels)
+            if len(shape) > 1:
+                labels[0] = trees.FOREST_ROOT_LABEL
+                forest = trees.SyntaxTree.from_degree_word(oracles.degree_word(shape), labels)
+                assert trees.parse_process(forest.to_term(), allow_forest=True) == forest
+                assert forest.to_json() == json.dumps(oracles.nested_record(shape, labels),
+                                                      sort_keys=True)
+                forests += 1
+    assert forests == 131
+
+
+def _builders(labels):
+    """Each way a caller's labels enter a tree, all on the shape a.(b || c)."""
+    return [lambda: trees.SyntaxTree(labels, [0, 1, 1]),
+            lambda: trees.SyntaxTree.from_degree_word([2, 0, 0], labels),
+            lambda: trees.tree_from_degree_sequence((2, 1, 0), labels),
+            lambda: sampling.uniform_random_tree(3, sampling.Rng(1), labels=labels)]
+
+
+@pytest.mark.parametrize("bad,position", [(bad, position) for bad in _NOT_NAMES for position in (0, 1, 2)
+                                          if (bad, position) != (trees.FOREST_ROOT_LABEL, 0)])
+def test_builders_refuse_a_label_that_is_no_action_name(bad, position):
+    # the forest root's label is allowed at the root only
+    labels = ["x", "y", "z"]
+    labels[position] = bad
+    for build in _builders(labels):
+        with pytest.raises(ValueError, match=f"^label {re.escape(repr(bad))} is not an action name"):
+            build()
+
+
+def test_builders_accept_the_forest_root_over_any_number_of_trees():
+    for k in range(4):
+        labels = [trees.FOREST_ROOT_LABEL] + trees.default_labels(k)
+        t = trees.SyntaxTree(labels, [0] + [1] * k)
+        assert trees.SyntaxTree.from_degree_word([k] + [0] * k, labels) == t
+        assert trees.tree_from_degree_sequence(trees.degree_sequence_of_tree(t), labels) == t
+        assert t.to_term() == " || ".join(labels[1:])
+    t = sampling.uniform_random_tree(3, sampling.Rng(1), labels=["#root", "x", "y"])
+    assert t.labels == ("#root", "x", "y")
+
+
 def test_writers_need_no_recursion():
     # a chain taller than the interpreter's recursion limit, and uniform
     # shapes up to 10^4 nodes read back through the json module
